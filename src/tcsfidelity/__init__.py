@@ -1,8 +1,9 @@
 """Uhlmann fidelity between displaced thermal states.
 
-Three mutually validating routes: the closed-form expression, explicit
-maximization over two-mode Gaussian purifications, and a truncated
-Fock-space matrix oracle.
+Four mutually validating routes: the closed-form expression, the overlap
+of the optimal two-mode Gaussian purifications, numerical maximization of
+that overlap over the free mode-2 displacement, and a truncated Fock-space
+matrix oracle.
 """
 
 from .closed_form import (

@@ -415,21 +415,12 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     vector = None
-    cached_d = {}
     if oracle_check is not None:
         if oracle_check < 1:
             raise click.UsageError("--oracle-check cutoff must be >= 1")
         vector = fock_oracle.schmidt_purification(
             spec.mode1_state(), spec.beta, oracle_check
         )
-
-        def oracle_displacement(lam: complex) -> np.ndarray:
-            if lam not in cached_d:
-                cached_d[lam] = fock_oracle.displacement_matrix(
-                    lam, oracle_check
-                ).entries
-            return cached_d[lam]
-
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
     if oracle_check is not None:
         header += ",re_chi_oracle,im_chi_oracle"
@@ -447,13 +438,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
                         f"{chi.real!r},{chi.imag!r}"
                     )
                     if oracle_check is not None:
-                        amp = vector.amplitudes
-                        chi_oracle = complex(
-                            np.vdot(
-                                amp,
-                                oracle_displacement(l1) @ amp @ oracle_displacement(l2).T,
-                            )
-                        )
+                        chi_oracle = fock_oracle.cf_of_two_mode_vector(vector, l1, l2)
                         worst = max(worst, abs(chi - chi_oracle))
                         row += f",{chi_oracle.real!r},{chi_oracle.imag!r}"
                     click.echo(row)

@@ -12,6 +12,7 @@ observable.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -90,60 +91,78 @@ def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
     return FockMatrix(cutoff, np.diag(thermal_spectrum(nbar, cutoff)).astype(complex))
 
 
-def _displacement_lower_triangle(alpha: complex, n: int) -> np.ndarray:
-    """Entries (k, l) with k >= l of the displacement operator.
+@functools.lru_cache(maxsize=8)
+def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
+    """Read-only entries of D(alpha) truncated at ``n``, memoized per (alpha, n).
 
-    <k|D(alpha)|l> = sqrt(l!/k!) alpha^(k-l) e^{-|alpha|^2/2} L_l^{(k-l)}(|alpha|^2),
-    with the Laguerre values generated by the three-term recurrence upward in
-    the degree l at fixed order k - l, and the factorial ratio in log space so
-    large cutoffs cannot overflow.
+    <k|D(alpha)|l> = sqrt(l!/k!) alpha^(k-l) e^{-|alpha|^2/2} L_l^{(k-l)}(|alpha|^2)
+    for k >= l. The Laguerre values come from the three-term recurrence upward
+    in the degree l, vectorized over the order k - l: step l advances only the
+    orders k - l < n - l that are still inside the matrix, so nothing beyond
+    it is evaluated. The factorial ratio stays in log space. The k < l
+    entries follow from <l|D(alpha)|k> = conj(<k|D(-alpha)|l>), where
+    D(-alpha) shares the magnitudes and Laguerre values and differs only in
+    the phase.
     """
-    x = abs(alpha) ** 2
-    log_mag = math.log(abs(alpha))
-    unit = alpha / abs(alpha)
-    log_fact = [math.lgamma(i + 1.0) for i in range(n)]
     out = np.zeros((n, n), dtype=complex)
-    for order in range(n):
-        phase = unit**order
-        previous = 0.0
-        current = 1.0
-        for l in range(n - order):
-            k = l + order
-            magnitude = math.exp(
-                0.5 * (log_fact[l] - log_fact[k]) + order * log_mag - 0.5 * x
-            )
-            out[k, l] = magnitude * phase * current
-            previous, current = (
-                current,
-                ((2 * l + order + 1 - x) * current - (l + order) * previous) / (l + 1),
-            )
+    if alpha == 0:
+        np.fill_diagonal(out, 1.0)
+    else:
+        x = abs(alpha) ** 2
+        log_mag = math.log(abs(alpha))
+        # Python's complex ** int, as in the scalar recurrence: it switches to
+        # the polar form above order 100, so these keep its exact bits.
+        unit, unit_negated = alpha / abs(alpha), -alpha / abs(alpha)
+        phase = np.array([unit**order for order in range(n)])
+        phase_negated = np.array([unit_negated**order for order in range(n)])
+        # The lower triangle column by column: column l holds rows k = l..n-1.
+        cols, rows = np.triu_indices(n)
+        orders = rows - cols
+        log_fact = np.array([math.lgamma(i + 1.0) for i in range(n)])
+        exponent = 0.5 * (log_fact[cols] - log_fact[rows]) + orders * log_mag - 0.5 * x
+        # math.exp, not np.exp: the two differ in the last bit for some arguments.
+        magnitude = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
+        laguerre = np.empty(exponent.size)
+        order = np.arange(n)
+        previous, current = np.zeros(n), np.ones(n)
+        start = 0
+        for l in range(n):
+            laguerre[start:start + n - l] = current
+            start += n - l
+            inside = n - l - 1  # orders still inside the matrix at degree l + 1
+            o = order[:inside]
+            previous, current = current[:inside], (
+                (2 * l + o + 1 - x) * current[:inside] - (l + o) * previous[:inside]
+            ) / (l + 1)
+        out[cols, rows] = np.conj(magnitude * phase_negated[orders] * laguerre)
+        out[rows, cols] = magnitude * phase[orders] * laguerre
+    out.flags.writeable = False
     return out
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
     """Displacement operator D(alpha) on the truncated basis.
 
-    The k >= l entries come from the Laguerre-recurrence formula; the k < l
-    entries follow from D(alpha)^dag = D(-alpha), which keeps a single stable
-    code path. Accuracy of the truncation degrades once |alpha|^2 approaches
-    the cutoff.
+    One Laguerre-recurrence pass, vectorized over the order k - l, gives the
+    k >= l entries; the k < l entries are (-1)^(k-l) conjugates of them,
+    <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Results are memoized
+    per (alpha, cutoff) in a bounded cache of 8 matrices, at most 8 * 16 * N^2
+    bytes, and the entries are shared between callers, so they are read-only.
+    Accuracy of the truncation degrades once |alpha|^2 approaches the cutoff.
+    Above a cutoff of about 1040 the Laguerre values overflow for |alpha| up
+    to about 5 (numpy reports a RuntimeWarning) and those entries are not
+    finite.
     """
-    alpha = complex(alpha)
-    if alpha == 0:
-        return FockMatrix(cutoff, np.eye(cutoff, dtype=complex))
-    lower = _displacement_lower_triangle(alpha, cutoff)
-    lower_negated = _displacement_lower_triangle(-alpha, cutoff)
-    full = np.tril(lower) + np.triu(lower_negated.conj().T, 1)
-    return FockMatrix(cutoff, full)
+    return FockMatrix(cutoff, _displacement_entries(complex(alpha), cutoff))
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
     """Density matrix D(alpha) rho_thermal D(alpha)^dag."""
-    rho = thermal_density_matrix(state.mean_occupancy, cutoff)
     if state.displacement == 0:
-        return rho
+        return thermal_density_matrix(state.mean_occupancy, cutoff)
     d = displacement_matrix(state.displacement, cutoff).entries
-    return FockMatrix(cutoff, d @ rho.entries @ d.conj().T)
+    eta = thermal_spectrum(state.mean_occupancy, cutoff)
+    return FockMatrix(cutoff, (d * eta) @ d.conj().T)
 
 
 #: Relative floor under which eigenvalues are zeroed in the matrix square

@@ -59,6 +59,41 @@ def displacement_reference(alpha: complex, n: int) -> np.ndarray:
     return out
 
 
+def _scalar_lower_triangle(alpha: complex, n: int) -> np.ndarray:
+    """Entries k >= l of D(alpha) from the scalar Laguerre recurrence, one
+    order k - l and one degree l at a time."""
+    x = abs(alpha) ** 2
+    log_mag = math.log(abs(alpha))
+    unit = alpha / abs(alpha)
+    log_fact = [math.lgamma(i + 1.0) for i in range(n)]
+    out = np.zeros((n, n), dtype=complex)
+    for order in range(n):
+        phase = unit**order
+        previous = 0.0
+        current = 1.0
+        for l in range(n - order):
+            k = l + order
+            magnitude = math.exp(
+                0.5 * (log_fact[l] - log_fact[k]) + order * log_mag - 0.5 * x
+            )
+            out[k, l] = magnitude * phase * current
+            previous, current = (
+                current,
+                ((2 * l + order + 1 - x) * current - (l + order) * previous) / (l + 1),
+            )
+    return out
+
+
+def scalar_displacement(alpha: complex, n: int) -> np.ndarray:
+    """D(alpha) from two scalar passes, the k < l entries from
+    D(alpha)^dag = D(-alpha): the recurrence displacement_matrix must
+    reproduce value for value."""
+    alpha = complex(alpha)
+    lower = _scalar_lower_triangle(alpha, n)
+    lower_negated = _scalar_lower_triangle(-alpha, n)
+    return np.tril(lower) + np.triu(lower_negated.conj().T, 1)
+
+
 # ---------------------------------------------------------------------------
 # thermal density matrix
 # ---------------------------------------------------------------------------
@@ -91,10 +126,59 @@ def test_thermal_spectrum_values():
 
 
 # ---------------------------------------------------------------------------
-# displacement operator
+# displacement operator; an overflowing recurrence fails these tests
 # ---------------------------------------------------------------------------
 
+no_overflow = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+
+@no_overflow
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 80, 101, 150, 200, 300])
+@pytest.mark.parametrize("alpha", [5.0, -0.7, 3j, -0.4j, 0.3 - 0.2j, -2.7 + 3.1j, 3.5 + 3.5j])
+def test_displacement_equals_scalar_recurrence(alpha, n):
+    computed = displacement_matrix(alpha, n).entries
+    assert np.array_equal(computed, scalar_displacement(alpha, n))
+
+
+@no_overflow
+def test_displacement_entries_are_read_only():
+    for alpha in (0j, 0.8 - 0.3j):
+        entries = displacement_matrix(alpha, 12).entries
+        with pytest.raises(ValueError):
+            entries[0, 0] = 2.0
+
+
+@no_overflow
+def test_displacement_repeated_call_returns_equal_entries():
+    first = displacement_matrix(1.1 + 0.4j, 40).entries
+    second = displacement_matrix(complex(1.1, 0.4), 40).entries
+    assert np.array_equal(first, second)
+
+
+@no_overflow
+def test_displacement_cutoffs_never_share_entries():
+    alpha = 0.9 - 1.3j
+    for _ in range(2):
+        matrices = {n: displacement_matrix(alpha, n).entries for n in (9, 10, 11)}
+        for n, entries in matrices.items():
+            assert entries.shape == (n, n)
+            assert np.array_equal(entries, scalar_displacement(alpha, n))
+        assert not np.shares_memory(matrices[10], matrices[11])
+        assert not np.shares_memory(matrices[9], matrices[10])
+
+
+@no_overflow
+@pytest.mark.parametrize("alpha,n,bound", [(5.0, 200, 5e-15), (30.0, 1500, 6e-13)])
+def test_displacement_low_block_unitarity(alpha, n, bound):
+    low = 10
+    product = (
+        displacement_matrix(alpha, n).entries[:low]
+        @ displacement_matrix(-alpha, n).entries[:, :low]
+    )
+    assert np.max(np.abs(product - np.eye(low))) <= bound
+
+
+@no_overflow
 def test_displacement_vacuum_matrix_element():
     for beta in (0.5, 1j, 1.2 - 0.8j):
         d = displacement_matrix(beta, 30)
@@ -103,11 +187,13 @@ def test_displacement_vacuum_matrix_element():
         )
 
 
+@no_overflow
 def test_displacement_of_zero_is_identity():
     d = displacement_matrix(0j, 25)
     assert np.array_equal(d.entries, np.eye(25, dtype=complex))
 
 
+@no_overflow
 @pytest.mark.parametrize("alpha", [0.5 + 0.3j, -1.2 + 0.8j, 2.0 - 1.5j, 0.1j])
 def test_displacement_matches_analytic_formula(alpha):
     computed = displacement_matrix(alpha, 60).entries
@@ -115,6 +201,7 @@ def test_displacement_matches_analytic_formula(alpha):
     assert np.max(np.abs(computed - reference)) < 1e-12
 
 
+@no_overflow
 def test_displacement_adjoint_is_negated_argument():
     for alpha in (0.7, 1 - 1j, -0.4 + 2j):
         d = displacement_matrix(alpha, 40).entries
@@ -122,6 +209,7 @@ def test_displacement_adjoint_is_negated_argument():
         assert np.array_equal(d.conj().T, d_neg)
 
 
+@no_overflow
 def test_displacement_truncated_unitarity():
     # Truncation noise creeps up the matrix as |alpha| grows: the half block
     # stays clean through |alpha| = 1.5, while |alpha| = 2 needs the leading
@@ -135,6 +223,7 @@ def test_displacement_truncated_unitarity():
     assert np.max(np.abs((product - np.eye(n))[:20, :20])) < 1e-8
 
 
+@no_overflow
 def test_displacement_composition_law():
     n = 60
     block = n // 2
