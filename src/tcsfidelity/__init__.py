@@ -3,7 +3,8 @@
 Four mutually validating routes: the closed-form expression, the overlap
 of the optimal two-mode Gaussian purifications, numerical maximization of
 that overlap over the free mode-2 displacement, and a truncated Fock-space
-matrix oracle.
+matrix oracle. ``compute_route`` runs any of them by name; ``ROUTES`` lists
+them in report order.
 """
 
 from .closed_form import (
@@ -37,6 +38,7 @@ from .optimizer import (
     maximize_overlap,
     objective,
 )
+from .routes import ROUTES, RouteResult, compute_route
 from .states import (
     BOLTZMANN_K,
     HBAR,
@@ -62,6 +64,7 @@ __all__ = [
     "HBAR",
     "MAX_OCCUPANCY",
     "PURE_COVARIANCE_DET",
+    "ROUTES",
     "DisplacedThermalState",
     "FidelityValue",
     "FockMatrix",
@@ -70,11 +73,13 @@ __all__ = [
     "OptimizerConfig",
     "OverlapResult",
     "PurificationSpec",
+    "RouteResult",
     "ThermalParams",
     "TwoModeVector",
     "bures_distance",
     "cf_of_two_mode_vector",
     "cf_phase_space_vector",
+    "compute_route",
     "displaced_thermal_matrix",
     "displacement_matrix",
     "gaussian_form_cf",

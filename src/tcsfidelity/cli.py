@@ -12,21 +12,17 @@ from __future__ import annotations
 import json
 import sys
 from itertools import combinations
+from typing import NoReturn
 
 import click
 import numpy as np
 
-from . import closed_form, fock_oracle, gaussian_overlap, optimizer, states
+from . import closed_form, fock_oracle, optimizer, routes, states
 
 SCHEMA_VERSION = 1
 
-#: CLI route names mapped to the JSON route identifiers.
-ROUTES = {
-    "closed-form": "closed_form",
-    "oracle": "oracle",
-    "purification-optimized": "purification_optimized",
-    "gaussian-overlap": "gaussian_overlap",
-}
+#: Route names as the CLI spells them, in report order.
+ROUTE_NAMES = tuple(name.replace("_", "-") for name in routes.ROUTES)
 
 
 class ComplexParam(click.ParamType):
@@ -115,10 +111,16 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-def _fail_numerical(payload: dict, message: str) -> None:
-    _emit_json(payload)
+def _fail(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _optimizer_config(**options) -> optimizer.OptimizerConfig:
+    try:
+        return optimizer.OptimizerConfig(**options)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _resolve_occupancy(n: float | None, ratio: float | None, label: str) -> float:
@@ -143,105 +145,44 @@ def _build_state(n: float, alpha: complex) -> states.DisplacedThermalState:
         raise click.UsageError(str(exc)) from exc
 
 
-def _report(
-    route_key: str,
-    fidelity: float,
-    *,
-    beta_star: complex | None = None,
-    cutoff: int | None = None,
-    diagnostics: dict | None = None,
-) -> dict:
-    # Round-off may overshoot 1 by ulps; anything further is a bug.
-    if 1.0 < fidelity <= 1.0 + 1e-9:
-        fidelity = 1.0
-    if not 0.0 < fidelity <= 1.0:
-        raise click.ClickException(
-            f"internal error: route {route_key} produced fidelity {fidelity!r}"
-        )
-    report = {
-        "route": route_key,
-        "fidelity": fidelity,
-        "bures_distance": closed_form.bures_distance(fidelity),
-    }
-    if beta_star is not None:
-        report["beta_star"] = format_complex(beta_star)
-    if cutoff is not None:
-        report["cutoff"] = cutoff
-    report["diagnostics"] = diagnostics or {}
-    return report
-
-
-def _route_report(
-    route: str,
-    state1: states.DisplacedThermalState,
-    state2: states.DisplacedThermalState,
-    cutoff: int,
-    max_iters: int,
-) -> dict:
+def _run_route(*args, **kwargs) -> routes.RouteResult:
+    """routes.compute_route with its failures mapped to exit codes."""
     try:
-        return _compute_route(route, state1, state2, cutoff, max_iters)
+        return routes.compute_route(*args, **kwargs)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        _fail(str(exc))
     except ValueError as exc:
         # domain failures from the library (occupancy cap, underflow)
         raise click.UsageError(str(exc)) from exc
 
 
-def _compute_route(
-    route: str,
-    state1: states.DisplacedThermalState,
-    state2: states.DisplacedThermalState,
-    cutoff: int,
-    max_iters: int,
-) -> dict:
-    if route == "closed-form":
-        value = closed_form.tcs_fidelity(state1, state2).value
-        return _report("closed_form", value)
-    if route == "oracle":
-        rho1 = fock_oracle.displaced_thermal_matrix(state1, cutoff)
-        rho2 = fock_oracle.displaced_thermal_matrix(state2, cutoff)
-        value = fock_oracle.uhlmann_fidelity(rho1, rho2)
-        diagnostics = {
-            "truncation_tail_1": state1.s**cutoff,
-            "truncation_tail_2": state2.s**cutoff,
-        }
-        return _report("oracle", value, cutoff=cutoff, diagnostics=diagnostics)
-    if route == "purification-optimized":
-        config = optimizer.OptimizerConfig(max_iters=max_iters)
-        result = optimizer.maximize_overlap(state1, state2, config)
-        diagnostics = {
-            "iterations": result.iterations,
-            "gradient_norm": result.gradient_norm,
-        }
-        if not result.converged:
-            _fail_numerical(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "route": "purification_optimized",
-                    "converged": False,
-                    "diagnostics": diagnostics,
-                },
-                "optimizer did not converge",
-            )
-        return _report(
-            "purification_optimized",
-            result.value,
-            beta_star=result.beta_star,
-            diagnostics=diagnostics,
+def _report(result: routes.RouteResult) -> dict:
+    report = {
+        "route": result.route,
+        "fidelity": result.fidelity,
+        "bures_distance": closed_form.bures_distance(result.fidelity),
+    }
+    if result.beta_star is not None:
+        report["beta_star"] = format_complex(result.beta_star)
+    if result.cutoff is not None:
+        report["cutoff"] = result.cutoff
+    report["diagnostics"] = result.diagnostics
+    return report
+
+
+def _route_report(name: str, state1, state2, cutoff: int, config) -> dict:
+    result = _run_route(name, state1, state2, cutoff, config)
+    if not result.converged:
+        _emit_json(
+            {
+                "schema": SCHEMA_VERSION,
+                "route": result.route,
+                "converged": False,
+                "diagnostics": result.diagnostics,
+            }
         )
-    if route == "gaussian-overlap":
-        beta = closed_form.optimal_beta(state1, state2)
-        reference = states.PurificationSpec(state1.thermal, state1.displacement, 0j)
-        free = states.PurificationSpec(state2.thermal, state2.displacement, beta)
-        overlap = gaussian_overlap.pure_overlap(
-            states.purification_gaussian_form(reference),
-            states.purification_gaussian_form(free),
-        )
-        return _report(
-            "gaussian_overlap",
-            overlap.value,
-            beta_star=beta,
-            diagnostics={"log_value": overlap.log_value},
-        )
-    raise click.UsageError(f"unknown route {route!r}")
+        _fail("optimizer did not converge")
+    return _report(result)
 
 
 def _state_options(command):
@@ -281,7 +222,7 @@ def main() -> None:
 @_state_options
 @click.option(
     "--route",
-    type=click.Choice(tuple(ROUTES)),
+    type=click.Choice(ROUTE_NAMES),
     default="closed-form",
     help="Computation route.",
 )
@@ -308,29 +249,28 @@ def fidelity(
     """Fidelity and Bures distance between two displaced thermal states."""
     state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
     state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
+    config = _optimizer_config(max_iters=max_iters)
     if all_routes:
         reports = [
-            _route_report(name, state1, state2, cutoff, max_iters) for name in ROUTES
+            _route_report(name, state1, state2, cutoff, config) for name in routes.ROUTES
         ]
         discrepancy = max(
             abs(a["fidelity"] - b["fidelity"]) for a, b in combinations(reports, 2)
         )
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "reports": reports,
-            "max_pairwise_discrepancy": discrepancy,
-        }
         if emit_json:
-            if tol is not None and discrepancy > tol:
-                _fail_numerical(payload, f"route discrepancy {discrepancy!r} > {tol!r}")
-            _emit_json(payload)
+            _emit_json(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "reports": reports,
+                    "max_pairwise_discrepancy": discrepancy,
+                }
+            )
         else:
             _echo_report_csv(reports)
-            if tol is not None and discrepancy > tol:
-                click.echo(f"error: route discrepancy {discrepancy!r} > {tol!r}", err=True)
-                sys.exit(1)
+        if tol is not None and discrepancy > tol:
+            _fail(f"route discrepancy {discrepancy!r} > {tol!r}")
         return
-    report = _route_report(route, state1, state2, cutoff, max_iters)
+    report = _route_report(route.replace("-", "_"), state1, state2, cutoff, config)
     if emit_json:
         _emit_json({"schema": SCHEMA_VERSION, **report})
     else:
@@ -364,33 +304,22 @@ def optimize(
     analytic optimum."""
     state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
     state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
-    try:
-        config = optimizer.OptimizerConfig(
-            method=method, beta_tol=beta_tol, value_tol=value_tol, max_iters=max_iters
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    result = optimizer.maximize_overlap(state1, state2, config)
+    config = _optimizer_config(
+        method=method, beta_tol=beta_tol, value_tol=value_tol, max_iters=max_iters
+    )
+    result = _run_route("purification_optimized", state1, state2, config=config)
     analytic = closed_form.optimal_beta(state1, state2)
-    diagnostics = {
-        "iterations": result.iterations,
-        "gradient_norm": result.gradient_norm,
-    }
-    payload = {
-        "schema": SCHEMA_VERSION,
-        **_report(
-            "purification_optimized",
-            result.value,
-            beta_star=result.beta_star,
-            diagnostics=diagnostics,
-        ),
-        "beta_analytic": format_complex(analytic),
-        "beta_deviation": abs(result.beta_star - analytic),
-        "converged": result.converged,
-    }
+    _emit_json(
+        {
+            "schema": SCHEMA_VERSION,
+            **_report(result),
+            "beta_analytic": format_complex(analytic),
+            "beta_deviation": abs(result.beta_star - analytic),
+            "converged": result.converged,
+        }
+    )
     if not result.converged:
-        _fail_numerical(payload, "optimizer did not converge")
-    _emit_json(payload)
+        _fail("optimizer did not converge")
 
 
 @main.command(name="cf-grid")
@@ -414,39 +343,39 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
         spec = states.PurificationSpec(states.ThermalParams(occupancy), alpha, beta)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    vector = None
+    lambdas1 = [complex(re1, im1) for re1 in l1_re for im1 in l1_im]
+    lambdas2 = [complex(re2, im2) for re2 in l2_re for im2 in l2_im]
     if oracle_check is not None:
         if oracle_check < 1:
             raise click.UsageError("--oracle-check cutoff must be >= 1")
-        vector = fock_oracle.schmidt_purification(
-            spec.mode1_state(), spec.beta, oracle_check
-        )
+        try:
+            vector = fock_oracle.schmidt_purification(
+                spec.mode1_state(), spec.beta, oracle_check
+            )
+            oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
+        except ArithmeticError as exc:
+            _fail(str(exc))
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
     if oracle_check is not None:
         header += ",re_chi_oracle,im_chi_oracle"
     click.echo(header)
     worst = 0.0
-    for re1 in l1_re:
-        for im1 in l1_im:
-            for re2 in l2_re:
-                for im2 in l2_im:
-                    l1 = complex(re1, im1)
-                    l2 = complex(re2, im2)
-                    chi = states.purification_cf(spec, l1, l2)
-                    row = (
-                        f"{re1!r},{im1!r},{re2!r},{im2!r},"
-                        f"{chi.real!r},{chi.imag!r}"
-                    )
-                    if oracle_check is not None:
-                        chi_oracle = fock_oracle.cf_of_two_mode_vector(vector, l1, l2)
-                        worst = max(worst, abs(chi - chi_oracle))
-                        row += f",{chi_oracle.real!r},{chi_oracle.imag!r}"
-                    click.echo(row)
+    for i, l1 in enumerate(lambdas1):
+        for j, l2 in enumerate(lambdas2):
+            chi = states.purification_cf(spec, l1, l2)
+            row = (
+                f"{l1.real!r},{l1.imag!r},{l2.real!r},{l2.imag!r},"
+                f"{chi.real!r},{chi.imag!r}"
+            )
+            if oracle_check is not None:
+                chi_oracle = complex(oracle[i, j])
+                worst = max(worst, abs(chi - chi_oracle))
+                row += f",{chi_oracle.real!r},{chi_oracle.imag!r}"
+            click.echo(row)
     if oracle_check is not None:
         click.echo(f"# max_abs_deviation={worst!r}")
         if tol is not None and worst > tol:
-            click.echo(f"error: CF deviation {worst!r} > {tol!r}", err=True)
-            sys.exit(1)
+            _fail(f"CF deviation {worst!r} > {tol!r}")
 
 
 @main.command()
@@ -456,28 +385,24 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
               help="Displacement differences, 're,im;re,im;...'.")
 @click.option("--alpha1", type=COMPLEX, default="0,0",
               help="Base displacement of state 1; state 2 sits at alpha1 + dalpha.")
-@click.option("--routes", default="all",
+@click.option("--routes", "route_names", default="all",
               help="Comma-separated routes, or 'all'.")
 @click.option("--cutoff", type=int, default=fock_oracle.DEFAULT_CUTOFF,
               show_default=True)
 @click.option("--max-iters", type=int, default=200, show_default=True)
 @click.option("--json/--csv", "emit_json", default=False, help="Output format.")
-def sweep(n1, n2, dalpha, alpha1, routes, cutoff, max_iters, emit_json):
+def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     """Fidelity over a parameter grid, one row per grid point per route (CSV).
 
     Rows are ordered lexicographically in (n1, n2, Re dalpha, Im dalpha) and
     then by route name; the discrepancy column compares each route against the
     closed form.
     """
-    if routes == "all":
-        selected = sorted(ROUTES)
-    else:
-        selected = sorted(set(routes.split(",")))
-        unknown = [name for name in selected if name not in ROUTES]
-        if unknown:
-            raise click.UsageError(
-                f"unknown routes {unknown}; valid: {', '.join(ROUTES)}"
-            )
+    selected = sorted(ROUTE_NAMES if route_names == "all" else set(route_names.split(",")))
+    unknown = [name for name in selected if name not in ROUTE_NAMES]
+    if unknown:
+        raise click.UsageError(f"unknown routes {unknown}; valid: {', '.join(ROUTE_NAMES)}")
+    config = _optimizer_config(max_iters=max_iters)
     points = sorted(
         (float(v1), float(v2), d.real, d.imag)
         for v1 in n1
@@ -490,7 +415,9 @@ def sweep(n1, n2, dalpha, alpha1, routes, cutoff, max_iters, emit_json):
         state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
         closed_value = closed_form.tcs_fidelity(state1, state2).value
         for name in selected:
-            report = _route_report(name, state1, state2, cutoff, max_iters)
+            report = _route_report(
+                name.replace("-", "_"), state1, state2, cutoff, config
+            )
             rows.append(
                 {
                     "n1": v1,
@@ -508,16 +435,10 @@ def sweep(n1, n2, dalpha, alpha1, routes, cutoff, max_iters, emit_json):
     if emit_json:
         _emit_json({"schema": SCHEMA_VERSION, "rows": rows})
         return
-    click.echo(
-        "n1,n2,re_dalpha,im_dalpha,route,fidelity,bures_distance,"
-        "discrepancy_vs_closed_form"
-    )
+    click.echo(",".join(rows[0]))
     for row in rows:
-        click.echo(
-            f"{row['n1']!r},{row['n2']!r},{row['re_dalpha']!r},{row['im_dalpha']!r},"
-            f"{row['route']},{row['fidelity']!r},{row['bures_distance']!r},"
-            f"{row['discrepancy_vs_closed_form']!r}"
-        )
+        # str of a float is its shortest round-trip repr
+        click.echo(",".join(map(str, row.values())))
 
 
 @main.command()

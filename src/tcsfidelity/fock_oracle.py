@@ -92,6 +92,7 @@ def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
 
 
 @functools.lru_cache(maxsize=8)
+@np.errstate(over="raise", invalid="raise")
 def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     """Read-only entries of D(alpha) truncated at ``n``, memoized per (alpha, n).
 
@@ -99,10 +100,11 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     for k >= l. The Laguerre values come from the three-term recurrence upward
     in the degree l, vectorized over the order k - l: step l advances only the
     orders k - l < n - l that are still inside the matrix, so nothing beyond
-    it is evaluated. The factorial ratio stays in log space. The k < l
-    entries follow from <l|D(alpha)|k> = conj(<k|D(-alpha)|l>), where
-    D(-alpha) shares the magnitudes and Laguerre values and differs only in
-    the phase.
+    it is evaluated. Overflow raises FloatingPointError rather than leaving
+    entries non-finite; the arithmetic is the same either way. The factorial
+    ratio stays in log space. The k < l entries follow from
+    <l|D(alpha)|k> = conj(<k|D(-alpha)|l>), where D(-alpha) shares the
+    magnitudes and Laguerre values and differs only in the phase.
     """
     out = np.zeros((n, n), dtype=complex)
     if alpha == 0:
@@ -150,8 +152,8 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
     bytes, and the entries are shared between callers, so they are read-only.
     Accuracy of the truncation degrades once |alpha|^2 approaches the cutoff.
     Above a cutoff of about 1040 the Laguerre values overflow for |alpha| up
-    to about 5 (numpy reports a RuntimeWarning) and those entries are not
-    finite.
+    to about 5; that raises FloatingPointError, so no entry is ever returned
+    non-finite.
     """
     return FockMatrix(cutoff, _displacement_entries(complex(alpha), cutoff))
 
@@ -240,7 +242,24 @@ def cf_of_two_mode_vector(
     vector: TwoModeVector, lambda1: complex, lambda2: complex
 ) -> complex:
     """Characteristic function <v| D(lambda1) x D(lambda2) |v> of the vector."""
-    d1 = displacement_matrix(lambda1, vector.cutoff).entries
-    d2 = displacement_matrix(lambda2, vector.cutoff).entries
+    return complex(cf_table(vector, [lambda1], [lambda2])[0, 0])
+
+
+def cf_table(vector: TwoModeVector, lambdas1, lambdas2) -> np.ndarray:
+    """The characteristic function at every pair, table[i, j] at
+    (lambdas1[i], lambdas2[j]).
+
+    Each distinct displacement matrix is built once per call and all are held
+    until it returns, 16 * N^2 bytes apiece.
+    """
     amp = vector.amplitudes
-    return complex(np.vdot(amp, d1 @ amp @ d2.T))
+    d = {
+        lam: displacement_matrix(lam, vector.cutoff).entries
+        for lam in dict.fromkeys([*lambdas1, *lambdas2])
+    }
+    table = np.empty((len(lambdas1), len(lambdas2)), dtype=complex)
+    for i, lambda1 in enumerate(lambdas1):
+        left = d[lambda1] @ amp
+        for j, lambda2 in enumerate(lambdas2):
+            table[i, j] = np.vdot(amp, left @ d[lambda2].T)
+    return table

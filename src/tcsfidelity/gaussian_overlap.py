@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .states import PURE_COVARIANCE_DET, GaussianForm
 
@@ -55,9 +54,13 @@ def pure_overlap(g1: GaussianForm, g2: GaussianForm) -> OverlapResult:
     _require_pure(g1, "g1")
     _require_pure(g2, "g2")
     m = g1.covariance + g2.covariance
-    delta = g1.displacement_vector - g2.displacement_vector
     chol = np.linalg.cholesky(m)
     log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    z = solve_triangular(chol, delta, lower=True)
+    # Forward substitution for chol z = d1 - d2, in the order LAPACK's
+    # triangular solve takes, so the digits match it.
+    z = g1.displacement_vector - g2.displacement_vector
+    for j in range(len(z)):
+        z[j] /= chol[j, j]
+        z[j + 1:] -= z[j] * chol[j + 1:, j]
     log_value = -0.5 * float(z @ z) - 0.5 * log_det
     return OverlapResult(value=math.exp(log_value), log_value=log_value)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .closed_form import log_overlap_probability, overlap_exponent_coefficients
 from .states import DisplacedThermalState, PurificationSpec
@@ -135,6 +134,9 @@ def _maximize_newton(state1, state2, config: OptimizerConfig) -> OptimizationRes
 
 
 def _maximize_nelder_mead(state1, state2, config: OptimizerConfig) -> OptimizationResult:
+    # Imported here so that only this method pays for scipy's import.
+    from scipy.optimize import minimize
+
     start = np.array([config.initial_beta.real, config.initial_beta.imag])
     result = minimize(
         lambda uv: -objective(state1, state2, complex(uv[0], uv[1])),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from tcsfidelity import fock_oracle
 from tcsfidelity.cli import ComplexParam, format_complex, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -137,6 +138,23 @@ def test_fidelity_rejects_negative_occupancy(runner):
     assert result.exit_code == 2
 
 
+def test_fidelity_oracle_overflow_is_a_numerical_failure(runner):
+    result = invoke(
+        runner, "fidelity", "--n1", "0.5", "--alpha2", "1,0",
+        "--route", "oracle", "--cutoff", "1100",
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: overflow")
+
+
+def test_cf_grid_oracle_overflow_is_a_numerical_failure(runner):
+    result = invoke(runner, "cf-grid", "--l1-re", "1:1:1", "--oracle-check", "1100")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: overflow")
+
+
 def test_fidelity_rejects_out_of_range_inputs(runner):
     result = invoke(runner, "fidelity", "--n1", "1e9")
     assert result.exit_code == 2
@@ -229,6 +247,18 @@ def test_cf_grid_oracle_check_footer(runner):
     footer = lines[-1]
     assert footer.startswith("# max_abs_deviation=")
     assert float(footer.split("=")[1]) <= 1e-6
+
+
+def test_cf_grid_oracle_check_builds_each_displacement_once(runner):
+    fock_oracle._displacement_entries.cache_clear()
+    result = invoke(
+        runner, "cf-grid", "--l1-re", "-1:1:3", "--l1-im", "-1:1:3",
+        "--l2-re", "-1:1:9", "--l2-im", "-1:1:9", "--oracle-check", "6",
+    )
+    assert result.exit_code == 0
+    # 81 distinct lambdas: the 9 of lambda1 and the purification's 0 are
+    # among lambda2's.
+    assert fock_oracle._displacement_entries.cache_info().misses == 81
 
 
 def test_cf_grid_tolerance_breach_exits_one(runner):
@@ -377,6 +407,17 @@ def run_cli(args):
                          ids=["fidelity-all-routes", "sweep"])
 def test_byte_identical_across_runs(args):
     assert run_cli(args) == run_cli(args)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, tcsfidelity.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, text=True
+    )
+    assert process.stdout == "[]\n"
 
 
 def test_fidelity_golden_file():

@@ -15,6 +15,7 @@ from tcsfidelity.fock_oracle import (
     FockMatrix,
     TwoModeVector,
     cf_of_two_mode_vector,
+    cf_table,
     displaced_thermal_matrix,
     displacement_matrix,
     partial_trace_mode2,
@@ -176,6 +177,11 @@ def test_displacement_low_block_unitarity(alpha, n, bound):
         @ displacement_matrix(-alpha, n).entries[:, :low]
     )
     assert np.max(np.abs(product - np.eye(low))) <= bound
+
+
+def test_displacement_overflow_raises_instead_of_returning_non_finite():
+    with pytest.raises(FloatingPointError):
+        displacement_matrix(5, 1100)
 
 
 @no_overflow
@@ -426,6 +432,20 @@ def test_two_mode_cf_vacuum():
         assert cf_of_two_mode_vector(vector, lam, 0j) == pytest.approx(
             math.exp(-abs(lam) ** 2 / 2), rel=1e-12
         )
+
+
+def test_cf_table_equals_pointwise_expression():
+    vector = schmidt_purification(make_state(0.7, 0.4 - 0.9j), 0.2 + 0.5j, 24)
+    lambdas1 = [0j, 0.5, -0.3 + 0.8j]
+    lambdas2 = [0.5, 1j, 0.6 - 0.6j, 0j]
+    table = cf_table(vector, lambdas1, lambdas2)
+    amp = vector.amplitudes
+    for i, lam1 in enumerate(lambdas1):
+        for j, lam2 in enumerate(lambdas2):
+            d1 = displacement_matrix(lam1, 24).entries
+            d2 = displacement_matrix(lam2, 24).entries
+            assert table[i, j] == np.vdot(amp, d1 @ amp @ d2.T)
+            assert cf_of_two_mode_vector(vector, lam1, lam2) == table[i, j]
 
 
 def test_two_mode_cf_matches_closed_form():

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from tcsfidelity.closed_form import optimal_beta, overlap_probability, tcs_fidelity
 from tcsfidelity.gaussian_overlap import OverlapResult, pure_overlap
@@ -52,6 +53,20 @@ def test_overlap_symmetric_to_machine_precision():
         backward = pure_overlap(g2, g1)
         assert forward.value == backward.value
         assert forward.log_value == backward.log_value
+
+
+def test_log_value_equals_lapack_triangular_solve():
+    rng = np.random.default_rng(37)
+    for _ in range(10_000):
+        g1 = random_form(rng)
+        g2 = random_form(rng)
+        chol = np.linalg.cholesky(g1.covariance + g2.covariance)
+        z = solve_triangular(
+            chol, g1.displacement_vector - g2.displacement_vector, lower=True
+        )
+        log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+        expected = -0.5 * float(z @ z) - 0.5 * log_det
+        assert pure_overlap(g1, g2).log_value == expected
 
 
 def test_coherent_displacement_overlap():
