@@ -413,7 +413,7 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     for v1, v2, d_re, d_im in points:
         state1 = _build_state(v1, alpha1)
         state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
-        closed_value = closed_form.tcs_fidelity(state1, state2).value
+        closed_value = _run_route("closed_form", state1, state2).fidelity
         for name in selected:
             report = _route_report(
                 name.replace("-", "_"), state1, state2, cutoff, config

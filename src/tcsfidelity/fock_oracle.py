@@ -2,8 +2,15 @@
 
 Everything here is dense linear algebra on N x N (or N x N two-mode) arrays:
 density operators, displacement operators built from a Laguerre recurrence,
-the Bures-Uhlmann fidelity via Hermitian matrix square roots, and Schmidt
-purifications with their partial traces and characteristic functions.
+the Bures-Uhlmann fidelity, and Schmidt purifications with their partial
+traces and characteristic functions.
+
+The fidelity is Uhlmann's maximal transition probability between
+purifications. A density matrix rho = B B^dag is purified by the amplitude
+matrix B, and the maximum over all purifications is the squared nuclear norm
+||B2^dag B1||_*^2. Every constructor here builds rho from such a factor and
+keeps it, so the fidelity costs one product and one singular-value
+decomposition, with no matrix square root and no eigenvalue clipping.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -13,42 +20,54 @@ observable.
 from __future__ import annotations
 
 import functools
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import DisplacedThermalState
 
-log = logging.getLogger(__name__)
-
 DEFAULT_CUTOFF = 60
 
 #: Tolerated deviation from Hermiticity for density-matrix inputs.
 HERMITICITY_TOL = 1e-12
 
-#: Eigenvalues below this are reported before being clipped to zero;
-#: anything between it and zero is silent round-off from truncation.
+#: Eigenvalues of a factor-less input below this are reported before being
+#: clipped to zero; anything between it and zero is silent round-off.
 EIGENVALUE_WARN = -1e-10
 
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Dense complex matrix over the number basis truncated at ``cutoff``."""
+    """Dense complex matrix over the number basis truncated at ``cutoff``.
+
+    ``factor``, when given, is an N x N matrix B with ``entries = B B^dag``:
+    the amplitude matrix of a purification of the state. The constructors in
+    this module set it; uhlmann_fidelity uses it in place of a square root.
+    """
 
     cutoff: int
     entries: np.ndarray
+    factor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        shape = (self.cutoff, self.cutoff)
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.cutoff, self.cutoff):
+        if entries.shape != shape:
             raise ValueError(
                 f"entries must be {self.cutoff}x{self.cutoff}, got {entries.shape}"
             )
         object.__setattr__(self, "entries", entries)
+        if self.factor is not None:
+            factor = np.asarray(self.factor, dtype=complex)
+            if factor.shape != shape:
+                raise ValueError(
+                    f"factor must be {self.cutoff}x{self.cutoff}, got {factor.shape}"
+                )
+            object.__setattr__(self, "factor", factor)
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -88,7 +107,8 @@ def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
 
 def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
     """Diagonal thermal density operator truncated at ``cutoff`` levels."""
-    return FockMatrix(cutoff, np.diag(thermal_spectrum(nbar, cutoff)).astype(complex))
+    eta = thermal_spectrum(nbar, cutoff)
+    return FockMatrix(cutoff, np.diag(eta), factor=np.diag(np.sqrt(eta)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,31 +179,37 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
-    """Density matrix D(alpha) rho_thermal D(alpha)^dag."""
+    """Density matrix D(alpha) rho_thermal D(alpha)^dag, with the factor
+    D(alpha) sqrt(rho_thermal)."""
     if state.displacement == 0:
         return thermal_density_matrix(state.mean_occupancy, cutoff)
     d = displacement_matrix(state.displacement, cutoff).entries
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
-    return FockMatrix(cutoff, (d * eta) @ d.conj().T)
+    return FockMatrix(cutoff, (d * eta) @ d.conj().T, factor=d * np.sqrt(eta))
 
 
-#: Relative floor under which eigenvalues are zeroed in the matrix square
-#: root. eigh resolves a rank-deficient input's null space only to absolute
+#: Relative floor under which eigenvalues of a factor-less input are zeroed.
+#: eigh resolves a rank-deficient input's null space only to absolute
 #: round-off (~1e-16), and the square root would amplify that to ~1e-8.
 EIGENVALUE_FLOOR = 1e-14
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matrix)
+def _factor(rho: FockMatrix) -> np.ndarray:
+    """A matrix B with rho = B B^dag: the stored factor, else V sqrt(w) from
+    one Hermitian eigendecomposition with negative eigenvalues clipped."""
+    if rho.factor is not None:
+        return rho.factor
+    w, v = np.linalg.eigh(rho.entries)
     if w[0] < EIGENVALUE_WARN:
-        log.warning(
-            "clipping negative eigenvalue %.3e to zero before matrix square root",
-            w[0],
+        warnings.warn(
+            f"clipping negative eigenvalue {w[0]:.3e} of a factor-less density matrix",
+            RuntimeWarning,
+            stacklevel=3,
         )
     w = np.clip(w, 0.0, None)
     if w[-1] > 0.0:
         w[w < EIGENVALUE_FLOOR * w[-1]] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+    return v * np.sqrt(w)
 
 
 def _validate_density_input(rho: FockMatrix, name: str) -> None:
@@ -197,12 +223,14 @@ def _validate_density_input(rho: FockMatrix, name: str) -> None:
 def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     """Bures-Uhlmann fidelity {Tr[(sqrt(rho1) rho2 sqrt(rho1))^(1/2)]}^2.
 
-    Matrix square roots use Hermitian eigendecompositions with negative
-    eigenvalues clipped at zero. The outer trace is evaluated in the
-    identical nuclear-norm form sum of singular values of
-    sqrt(rho2) sqrt(rho1), where round-off enters linearly; diagonalizing
-    sqrt(rho1) rho2 sqrt(rho1) instead would square-root the noise floor of
-    rank-deficient inputs up to ~1e-8.
+    Evaluated by Uhlmann's theorem as ||B2^dag B1||_*^2, the squared sum of
+    singular values, for any factors rho_i = B_i B_i^dag: B_i = sqrt(rho_i) U_i
+    with U_i unitary, and the nuclear norm is unitarily invariant, so it
+    equals ||sqrt(rho2) sqrt(rho1)||_*. The factors are the ones the inputs
+    carry, so no square root is taken and round-off enters linearly. An input
+    built without a factor gets one from a Hermitian eigendecomposition, with
+    negative eigenvalues clipped at zero (a RuntimeWarning below
+    EIGENVALUE_WARN).
     """
     if rho1.cutoff != rho2.cutoff:
         raise ValueError(
@@ -210,7 +238,7 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
         )
     _validate_density_input(rho1, "rho1")
     _validate_density_input(rho2, "rho2")
-    cross = _psd_sqrt(rho2.entries) @ _psd_sqrt(rho1.entries)
+    cross = _factor(rho2).conj().T @ _factor(rho1)
     singular_values = np.linalg.svd(cross, compute_uv=False)
     return float(np.sum(singular_values) ** 2)
 
@@ -233,9 +261,10 @@ def schmidt_purification(
 
 
 def partial_trace_mode2(vector: TwoModeVector) -> FockMatrix:
-    """Reduced mode-1 density matrix of a two-mode pure state."""
+    """Reduced mode-1 density matrix of a two-mode pure state, factored by
+    the amplitudes."""
     amp = vector.amplitudes
-    return FockMatrix(vector.cutoff, amp @ amp.conj().T)
+    return FockMatrix(vector.cutoff, amp @ amp.conj().T, factor=amp)
 
 
 def cf_of_two_mode_vector(

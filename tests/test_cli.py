@@ -359,6 +359,19 @@ def test_sweep_rejects_unknown_route(runner):
     assert result.exit_code == 2
 
 
+def test_sweep_closed_form_failure_maps_like_fidelity(runner):
+    swept = invoke(
+        runner, "sweep", "--n1", "0", "--n2", "0", "--dalpha", "40,0",
+        "--routes", "oracle", "--cutoff", "20",
+    )
+    single = invoke(runner, "fidelity", "--n1", "0", "--n2", "0", "--alpha2", "40,0")
+    assert swept.exit_code == single.exit_code == 2
+    assert swept.stdout == ""
+    error_line = "Error: fidelity underflows double precision at |a1 - a2| = 40"
+    assert error_line in swept.stderr
+    assert error_line in single.stderr
+
+
 # ---------------------------------------------------------------------------
 # bures
 # ---------------------------------------------------------------------------
@@ -428,3 +441,15 @@ def test_fidelity_golden_file():
 def test_sweep_golden_file():
     golden = (DATA_DIR / "sweep.csv").read_bytes()
     assert run_cli(GOLDEN_SWEEP_ARGS) == golden
+
+
+def test_golden_oracle_rows_match_closed_form(runner):
+    # Both golden calls sit where the truncation tail is negligible, so the
+    # oracle's deviation from the closed form is round-off alone.
+    reports = json.loads(invoke(runner, *GOLDEN_FIDELITY_ARGS).stdout)["reports"]
+    by_route = {report["route"]: report["fidelity"] for report in reports}
+    assert abs(by_route["oracle"] - by_route["closed_form"]) <= 1e-14
+    lines = invoke(runner, *GOLDEN_SWEEP_ARGS).stdout.splitlines()[1:]
+    oracle_rows = [line.split(",") for line in lines if ",oracle," in line]
+    assert len(oracle_rows) == 12
+    assert all(float(fields[7]) <= 1e-14 for fields in oracle_rows)

@@ -95,6 +95,35 @@ def scalar_displacement(alpha: complex, n: int) -> np.ndarray:
     return np.tril(lower) + np.triu(lower_negated.conj().T, 1)
 
 
+def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian square root with negative eigenvalues clipped and those below
+    1e-14 of the largest zeroed."""
+    w, v = np.linalg.eigh(matrix)
+    w = np.clip(w, 0.0, None)
+    if w[-1] > 0.0:
+        w[w < 1e-14 * w[-1]] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def square_root_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
+    """Fidelity as the nuclear norm of sqrt(rho2) sqrt(rho1), both square
+    roots from eigendecompositions: the reference uhlmann_fidelity must agree
+    with."""
+    cross = _psd_sqrt(rho2.entries) @ _psd_sqrt(rho1.entries)
+    return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
+
+
+def random_state_pairs(seed, count):
+    """Seeded pairs of states with occupancies in [0, 3] and |alpha| <= 3."""
+    rng = np.random.default_rng(seed)
+    nbar = rng.uniform(0.0, 3.0, (count, 2))
+    alpha = 3.0 * np.sqrt(rng.random((count, 2))) * np.exp(2j * np.pi * rng.random((count, 2)))
+    return [
+        tuple(make_state(nbar[i, j], complex(alpha[i, j])) for j in range(2))
+        for i in range(count)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # thermal density matrix
 # ---------------------------------------------------------------------------
@@ -324,6 +353,81 @@ def test_uhlmann_rejects_cutoff_mismatch():
         )
 
 
+@pytest.mark.parametrize("cutoff", [40, 80, 160])
+def test_uhlmann_matches_square_root_reference(cutoff):
+    # 34 seeded pairs per cutoff, 102 in all. The factored form keeps the
+    # eigenvalues the reference zeroes below 1e-14 of the largest, which is
+    # worth up to ~1e-8; a factor-less input takes the reference's own path.
+    for state1, state2 in random_state_pairs([cutoff], 34):
+        rho1 = displaced_thermal_matrix(state1, cutoff)
+        rho2 = displaced_thermal_matrix(state2, cutoff)
+        reference = square_root_fidelity(rho1, rho2)
+        assert abs(uhlmann_fidelity(rho1, rho2) - reference) <= 1e-8
+        factor_less = uhlmann_fidelity(
+            FockMatrix(cutoff, rho1.entries), FockMatrix(cutoff, rho2.entries)
+        )
+        assert abs(factor_less - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("pair,cutoff", [
+    (((1.0, 0.3 - 0.2j), (0.5, 1.3 + 0.8j)), 80),
+    (((0.0, 0j), (0.0, 1 + 0j)), 40),
+    (((1.0, 0j), (0.0, 0j)), 80),
+    (((0.0, 0.8 - 0.2j), (1.2, 0.1 + 0.4j)), 50),
+    (((0.5, 0j), (0.5, 1 + 1j)), 60),
+])
+def test_uhlmann_factor_less_input_matches_factored(pair, cutoff):
+    rho1, rho2 = (displaced_thermal_matrix(make_state(*p), cutoff) for p in pair)
+    factored = uhlmann_fidelity(rho1, rho2)
+    factor_less = uhlmann_fidelity(
+        FockMatrix(cutoff, rho1.entries), FockMatrix(cutoff, rho2.entries)
+    )
+    assert abs(factor_less - factored) <= 1e-10
+
+
+def test_constructors_factor_their_density_matrices():
+    state = make_state(0.8, 0.6 - 1.1j)
+    matrices = [
+        thermal_density_matrix(1.3, 30),
+        displaced_thermal_matrix(make_state(1.3, 0j), 30),
+        displaced_thermal_matrix(state, 30),
+        partial_trace_mode2(schmidt_purification(state, 0.2 + 0.5j, 30)),
+    ]
+    for rho in matrices:
+        assert rho.factor is not None
+        assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.entries)) < 1e-15
+
+
+def test_uhlmann_of_partial_traces_matches_displaced_thermal_pair():
+    cutoff = 80
+    state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
+    reduced1 = partial_trace_mode2(schmidt_purification(state1, 0.4 - 0.6j, cutoff))
+    reduced2 = partial_trace_mode2(schmidt_purification(state2, -0.2 + 0.1j, cutoff))
+    direct = uhlmann_fidelity(
+        displaced_thermal_matrix(state1, cutoff), displaced_thermal_matrix(state2, cutoff)
+    )
+    assert abs(uhlmann_fidelity(reduced1, reduced2) - direct) <= 1e-10
+
+
+def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("uhlmann_fidelity diagonalized a factored input")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rho1 = displaced_thermal_matrix(make_state(1.0, 0.3 - 0.2j), 40)
+    rho2 = displaced_thermal_matrix(make_state(0.5, 1.3 + 0.8j), 40)
+    thermal = displaced_thermal_matrix(make_state(0.5, 0j), 40)
+    assert 0.0 < uhlmann_fidelity(rho1, rho2) < 1.0
+    assert 0.0 < uhlmann_fidelity(thermal, rho1) < 1.0
+
+
+def test_uhlmann_factor_less_clipping_warns():
+    entries = np.diag([0.6, 0.4 + 1e-9, -1e-9]).astype(complex)
+    with pytest.warns(RuntimeWarning, match="clipping negative eigenvalue"):
+        value = uhlmann_fidelity(FockMatrix(3, entries), thermal_density_matrix(0.0, 3))
+    assert value == pytest.approx(0.6, rel=1e-12)
+
+
 def test_uhlmann_converges_in_cutoff():
     cases = [
         (make_state(1.0, 0.5 + 0.5j), make_state(2.0, -1 + 0.3j)),
@@ -468,6 +572,8 @@ def test_fock_matrix_validation():
         FockMatrix(0, np.zeros((0, 0)))
     with pytest.raises(ValueError):
         FockMatrix(3, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="factor"):
+        FockMatrix(3, np.zeros((3, 3)), factor=np.zeros((3, 2)))
 
 
 def test_two_mode_vector_validation():
