@@ -8,9 +8,11 @@ traces and characteristic functions.
 The fidelity is Uhlmann's maximal transition probability between
 purifications. A density matrix rho = B B^dag is purified by the amplitude
 matrix B, and the maximum over all purifications is the squared nuclear norm
-||B2^dag B1||_*^2. Every constructor here builds rho from such a factor and
-keeps it, so the fidelity costs one product and one singular-value
-decomposition, with no matrix square root and no eigenvalue clipping.
+||B2^dag B1||_*^2. Every constructor here stores such a factor, and for the
+displaced thermal and reduced states the factor is the stored data: rho itself
+is formed as B B^dag only when its entries are read. The fidelity therefore
+costs one factor product and one singular-value decomposition, with no density
+product, no matrix square root and no eigenvalue clipping.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -38,36 +40,47 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_WARN = -1e-10
 
 
-@dataclass(frozen=True)
 class FockMatrix:
     """Dense complex matrix over the number basis truncated at ``cutoff``.
 
-    ``factor``, when given, is an N x N matrix B with ``entries = B B^dag``:
-    the amplitude matrix of a purification of the state. The constructors in
-    this module set it; uhlmann_fidelity uses it in place of a square root.
+    Built from ``entries``, from ``factor``, or from both. ``factor`` is an
+    N x N matrix B with ``entries = B B^dag``: the amplitude matrix of a
+    purification of the state, which uhlmann_fidelity uses in place of a
+    square root. thermal_density_matrix supplies both, its entries exact;
+    displaced_thermal_matrix and partial_trace_mode2 supply the factor alone,
+    and ``entries`` is then formed as B B^dag on first access and kept.
+    uhlmann_fidelity checks the Hermiticity of every caller-supplied
+    ``entries``, with or without a factor; B B^dag is Hermitian by
+    construction, so it is neither checked nor formed there.
     """
 
-    cutoff: int
-    entries: np.ndarray
-    factor: np.ndarray | None = None
+    def __init__(
+        self, cutoff: int, entries: np.ndarray | None = None,
+        factor: np.ndarray | None = None,
+    ) -> None:
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        if entries is None and factor is None:
+            raise ValueError("FockMatrix needs entries or a factor")
+        self.cutoff = cutoff
+        self.factor = None if factor is None else self._square(factor, "factor")
+        self._entries_supplied = entries is not None
+        if self._entries_supplied:
+            # An instance attribute shadows the on-demand property below.
+            self.entries = self._square(entries, "entries")
 
-    def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        shape = (self.cutoff, self.cutoff)
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != shape:
+    def _square(self, matrix, name: str) -> np.ndarray:
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (self.cutoff, self.cutoff):
             raise ValueError(
-                f"entries must be {self.cutoff}x{self.cutoff}, got {entries.shape}"
+                f"{name} must be {self.cutoff}x{self.cutoff}, got {matrix.shape}"
             )
-        object.__setattr__(self, "entries", entries)
-        if self.factor is not None:
-            factor = np.asarray(self.factor, dtype=complex)
-            if factor.shape != shape:
-                raise ValueError(
-                    f"factor must be {self.cutoff}x{self.cutoff}, got {factor.shape}"
-                )
-            object.__setattr__(self, "factor", factor)
+        return matrix
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The density matrix: as supplied, else B B^dag, formed once when read."""
+        return self.factor @ self.factor.conj().T
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -179,13 +192,18 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
-    """Density matrix D(alpha) rho_thermal D(alpha)^dag, with the factor
-    D(alpha) sqrt(rho_thermal)."""
+    """Density matrix D(alpha) rho_thermal D(alpha)^dag, stored as its factor
+    B = D(alpha) sqrt(rho_thermal).
+
+    Building it costs one column scaling of the memoized D(alpha); the N^3
+    product B B^dag runs only if ``entries`` is read. At zero displacement it
+    is thermal_density_matrix, with exact diagonal entries.
+    """
     if state.displacement == 0:
         return thermal_density_matrix(state.mean_occupancy, cutoff)
     d = displacement_matrix(state.displacement, cutoff).entries
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
-    return FockMatrix(cutoff, (d * eta) @ d.conj().T, factor=d * np.sqrt(eta))
+    return FockMatrix(cutoff, factor=d * np.sqrt(eta))
 
 
 #: Relative floor under which eigenvalues of a factor-less input are zeroed.
@@ -213,6 +231,8 @@ def _factor(rho: FockMatrix) -> np.ndarray:
 
 
 def _validate_density_input(rho: FockMatrix, name: str) -> None:
+    if not rho._entries_supplied:
+        return  # B B^dag is Hermitian by construction
     defect = rho.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise ValueError(
@@ -227,9 +247,12 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     singular values, for any factors rho_i = B_i B_i^dag: B_i = sqrt(rho_i) U_i
     with U_i unitary, and the nuclear norm is unitarily invariant, so it
     equals ||sqrt(rho2) sqrt(rho1)||_*. The factors are the ones the inputs
-    carry, so no square root is taken and round-off enters linearly. An input
-    built without a factor gets one from a Hermitian eigendecomposition, with
-    negative eigenvalues clipped at zero (a RuntimeWarning below
+    carry, so no square root is taken and round-off enters linearly, and an
+    input stored as its factor alone never has rho = B B^dag formed: the cost
+    is one factor product and one SVD. Caller-supplied entries must be
+    Hermitian to HERMITICITY_TOL, whether or not a factor comes with them. An
+    input built without a factor gets one from a Hermitian eigendecomposition,
+    with negative eigenvalues clipped at zero (a RuntimeWarning below
     EIGENVALUE_WARN).
     """
     if rho1.cutoff != rho2.cutoff:
@@ -261,10 +284,9 @@ def schmidt_purification(
 
 
 def partial_trace_mode2(vector: TwoModeVector) -> FockMatrix:
-    """Reduced mode-1 density matrix of a two-mode pure state, factored by
-    the amplitudes."""
-    amp = vector.amplitudes
-    return FockMatrix(vector.cutoff, amp @ amp.conj().T, factor=amp)
+    """Reduced mode-1 density matrix of a two-mode pure state, stored as its
+    factor, the amplitudes; ``entries`` is amp amp^dag, formed when read."""
+    return FockMatrix(vector.cutoff, factor=vector.amplitudes)
 
 
 def cf_of_two_mode_vector(

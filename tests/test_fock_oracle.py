@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from tcsfidelity import fock_oracle, routes
 from tcsfidelity.closed_form import (
     optimal_beta,
     overlap_probability,
@@ -111,6 +112,14 @@ def square_root_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     with."""
     cross = _psd_sqrt(rho2.entries) @ _psd_sqrt(rho1.entries)
     return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
+
+
+def eager_displaced_thermal_entries(state, cutoff: int) -> np.ndarray:
+    """rho = (d * eta) d^dag, as displaced_thermal_matrix formed it eagerly:
+    the reference for the entries it now forms as B B^dag on demand."""
+    d = displacement_matrix(state.displacement, cutoff).entries
+    eta = thermal_spectrum(state.mean_occupancy, cutoff)
+    return (d * eta) @ d.conj().T
 
 
 def random_state_pairs(seed, count):
@@ -295,6 +304,16 @@ def test_displaced_vacuum_is_coherent_projector():
     assert abs(eigenvalues[-2]) < 1e-10
 
 
+@pytest.mark.parametrize("cutoff", [30, 80, 160])
+def test_displaced_thermal_entries_match_eager_reference(cutoff):
+    # B B^dag rounds differently from (d * eta) d^dag; measured max 1.1e-16.
+    for pair in random_state_pairs([cutoff, 1], 17):
+        for state in pair:
+            rho = displaced_thermal_matrix(state, cutoff)
+            reference = eager_displaced_thermal_entries(state, cutoff)
+            assert np.max(np.abs(rho.entries - reference)) <= 1e-15
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.5 - 1.2j, 2j])
 def test_displacement_preserves_thermal_spectrum(alpha):
     n = 60
@@ -344,6 +363,10 @@ def test_uhlmann_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         uhlmann_fidelity(FockMatrix(10, bad), thermal_density_matrix(0.0, 10))
+    with pytest.raises(ValueError, match="rho2 is not Hermitian"):
+        uhlmann_fidelity(
+            thermal_density_matrix(0.0, 10), FockMatrix(10, bad, factor=np.eye(10))
+        )
 
 
 def test_uhlmann_rejects_cutoff_mismatch():
@@ -421,6 +444,26 @@ def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
     assert 0.0 < uhlmann_fidelity(thermal, rho1) < 1.0
 
 
+def test_oracle_forms_no_density_product(monkeypatch):
+    # A factor-only FockMatrix memoizes B B^dag in its instance dict once
+    # ``entries`` is read; the oracle must never read it.
+    built = []
+
+    def recording(state, cutoff):
+        built.append(displaced_thermal_matrix(state, cutoff))
+        return built[-1]
+
+    monkeypatch.setattr(fock_oracle, "displaced_thermal_matrix", recording)
+    state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
+    rho1, rho2 = displaced_thermal_matrix(state1, 40), displaced_thermal_matrix(state2, 40)
+    assert 0.0 < uhlmann_fidelity(rho1, rho2) < 1.0
+    # The golden ``fidelity --all-routes`` pair.
+    assert 0.0 < routes.compute_route("oracle", state1, state2, 80).fidelity < 1.0
+    assert len(built) == 2
+    for rho in (rho1, rho2, *built):
+        assert "entries" not in vars(rho)
+
+
 def test_uhlmann_factor_less_clipping_warns():
     entries = np.diag([0.6, 0.4 + 1e-9, -1e-9]).astype(complex)
     with pytest.warns(RuntimeWarning, match="clipping negative eigenvalue"):
@@ -489,6 +532,8 @@ def test_partial_trace_recovers_displaced_thermal(nbar, alpha):
     reduced = partial_trace_mode2(vector)
     expected = displaced_thermal_matrix(state, cutoff)
     assert np.linalg.norm(reduced.entries - expected.entries) < 1e-8
+    amp = vector.amplitudes
+    assert np.array_equal(reduced.entries, amp @ amp.conj().T)
 
 
 def test_partial_trace_of_product_state():
@@ -574,6 +619,8 @@ def test_fock_matrix_validation():
         FockMatrix(3, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="factor"):
         FockMatrix(3, np.zeros((3, 3)), factor=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="entries or a factor"):
+        FockMatrix(3)
 
 
 def test_two_mode_vector_validation():
