@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 numerical or convergence failure, 2 usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from itertools import combinations
 from typing import NoReturn
@@ -58,6 +59,8 @@ class RangeParam(click.ParamType):
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             self.fail(f"{value!r} is not of the form 'start:stop:count'", param, ctx)
+        if not math.isfinite(stop - start):  # NaN, inf, or an overflowing span
+            self.fail(f"{value!r} needs finite end points and span", param, ctx)
         if count < 1:
             self.fail("grid count must be >= 1", param, ctx)
         if count == 1 and start != stop:
@@ -77,9 +80,12 @@ class RealListParam(click.ParamType):
         if ":" in text:
             return RangeParam().convert(text, param, ctx)
         try:
-            return [float(piece) for piece in text.split(",")]
+            values = [float(piece) for piece in text.split(",")]
         except ValueError:
             self.fail(f"{text!r} is not a comma-separated list of reals", param, ctx)
+        if not all(map(math.isfinite, values)):
+            self.fail(f"{text!r} has a non-finite value", param, ctx)
+        return values
 
 
 class ComplexListParam(click.ParamType):
@@ -345,16 +351,21 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
         raise click.UsageError(str(exc)) from exc
     lambdas1 = [complex(re1, im1) for re1 in l1_re for im1 in l1_im]
     lambdas2 = [complex(re2, im2) for re2 in l2_re for im2 in l2_im]
-    if oracle_check is not None:
-        if oracle_check < 1:
-            raise click.UsageError("--oracle-check cutoff must be >= 1")
-        try:
+    if oracle_check is not None and oracle_check < 1:
+        raise click.UsageError("--oracle-check cutoff must be >= 1")
+    # Every value is computed before the first row is printed, so a numerical
+    # failure leaves stdout empty.
+    try:
+        table = [
+            [states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1
+        ]
+        if oracle_check is not None:
             vector = fock_oracle.schmidt_purification(
                 spec.mode1_state(), spec.beta, oracle_check
             )
             oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
-        except ArithmeticError as exc:
-            _fail(str(exc))
+    except ArithmeticError as exc:
+        _fail(str(exc))
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
     if oracle_check is not None:
         header += ",re_chi_oracle,im_chi_oracle"
@@ -362,7 +373,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
     worst = 0.0
     for i, l1 in enumerate(lambdas1):
         for j, l2 in enumerate(lambdas2):
-            chi = states.purification_cf(spec, l1, l2)
+            chi = table[i][j]
             row = (
                 f"{l1.real!r},{l1.imag!r},{l2.real!r},{l2.imag!r},"
                 f"{chi.real!r},{chi.imag!r}"

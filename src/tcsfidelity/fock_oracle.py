@@ -1,7 +1,8 @@
 """Brute-force verification layer on a truncated Fock basis.
 
 Everything here is dense linear algebra on N x N (or N x N two-mode) arrays:
-density operators, displacement operators built from a Laguerre recurrence,
+density operators, displacement operators built from a Laguerre recurrence
+normalized to the matrix entries (bounded by one, so finite at any cutoff),
 the Bures-Uhlmann fidelity, and Schmidt purifications with their partial
 traces and characteristic functions.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DisplacedThermalState
+from .states import DisplacedThermalState, _validate_complex
 
 DEFAULT_CUTOFF = 60
 
@@ -125,52 +126,45 @@ def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
 
 
 @functools.lru_cache(maxsize=8)
-@np.errstate(over="raise", invalid="raise")
 def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     """Read-only entries of D(alpha) truncated at ``n``, memoized per (alpha, n).
 
-    <k|D(alpha)|l> = sqrt(l!/k!) alpha^(k-l) e^{-|alpha|^2/2} L_l^{(k-l)}(|alpha|^2)
-    for k >= l. The Laguerre values come from the three-term recurrence upward
-    in the degree l, vectorized over the order k - l: step l advances only the
-    orders k - l < n - l that are still inside the matrix, so nothing beyond
-    it is evaluated. Overflow raises FloatingPointError rather than leaving
-    entries non-finite; the arithmetic is the same either way. The factorial
-    ratio stays in log space. The k < l entries follow from
-    <l|D(alpha)|k> = conj(<k|D(-alpha)|l>), where D(-alpha) shares the
-    magnitudes and Laguerre values and differs only in the phase.
+    With x = |alpha|^2 and unit = alpha / |alpha|, the entry k = l + o >= l is
+    <l+o|D(alpha)|l> = unit^o E_l^(o), where the real
+    E_l^(o) = sqrt(l!/(l+o)!) |alpha|^o e^{-x/2} L_l^{(o)}(x)
+    (Cahill & Glauber, Phys. Rev. 177, 1857, 1969) obeys the Laguerre
+    three-term recurrence rescaled to the entries themselves,
+    E_{l+1} = ((2l+o+1-x) E_l - sqrt(l(l+o)) E_{l-1}) / sqrt((l+1)(l+o+1)),
+    from E_0^(o) = |alpha|^o e^{-x/2} / sqrt(o!), taken from log space. It runs
+    upward in the degree l, vectorized over the order o: step l advances only
+    the orders still inside the matrix. Every value it carries is a matrix
+    entry, at most 1 in modulus, so it stays finite at any cutoff. The k < l
+    entries follow from <l|D(alpha)|l+o> = (-1)^o conj(<l+o|D(alpha)|l>).
     """
     out = np.zeros((n, n), dtype=complex)
     if alpha == 0:
         np.fill_diagonal(out, 1.0)
     else:
-        x = abs(alpha) ** 2
-        log_mag = math.log(abs(alpha))
-        # Python's complex ** int, as in the scalar recurrence: it switches to
-        # the polar form above order 100, so these keep its exact bits.
-        unit, unit_negated = alpha / abs(alpha), -alpha / abs(alpha)
-        phase = np.array([unit**order for order in range(n)])
-        phase_negated = np.array([unit_negated**order for order in range(n)])
-        # The lower triangle column by column: column l holds rows k = l..n-1.
-        cols, rows = np.triu_indices(n)
-        orders = rows - cols
-        log_fact = np.array([math.lgamma(i + 1.0) for i in range(n)])
-        exponent = 0.5 * (log_fact[cols] - log_fact[rows]) + orders * log_mag - 0.5 * x
-        # math.exp, not np.exp: the two differ in the last bit for some arguments.
-        magnitude = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
-        laguerre = np.empty(exponent.size)
+        radius = abs(alpha)
+        x = radius**2
+        # Part by part: complex / float would turn a -0.0 imaginary part into
+        # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
+        unit = complex(alpha.real / radius, alpha.imag / radius)
         order = np.arange(n)
-        previous, current = np.zeros(n), np.ones(n)
-        start = 0
+        phase_lower, phase_upper = unit**order, (-unit.conjugate()) ** order
+        log_fact = np.array([math.lgamma(o + 1.0) for o in range(n)])
+        current = np.exp(order * math.log(radius) - 0.5 * x - 0.5 * log_fact)
+        previous = scale = np.zeros(n)  # sqrt(l (l + o)): step l - 1's divisor
         for l in range(n):
-            laguerre[start:start + n - l] = current
-            start += n - l
+            out[l:, l] = phase_lower[:n - l] * current
+            out[l, l:] = phase_upper[:n - l] * current
             inside = n - l - 1  # orders still inside the matrix at degree l + 1
             o = order[:inside]
-            previous, current = current[:inside], (
-                (2 * l + o + 1 - x) * current[:inside] - (l + o) * previous[:inside]
-            ) / (l + 1)
-        out[cols, rows] = np.conj(magnitude * phase_negated[orders] * laguerre)
-        out[rows, cols] = magnitude * phase[orders] * laguerre
+            divisor = np.sqrt((l + 1.0) * (l + o + 1))
+            previous, current, scale = current[:inside], (
+                (2 * l + o + 1 - x) * current[:inside]
+                - scale[:inside] * previous[:inside]
+            ) / divisor, divisor
     out.flags.writeable = False
     return out
 
@@ -178,17 +172,17 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
 def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
     """Displacement operator D(alpha) on the truncated basis.
 
-    One Laguerre-recurrence pass, vectorized over the order k - l, gives the
-    k >= l entries; the k < l entries are (-1)^(k-l) conjugates of them,
-    <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Results are memoized
-    per (alpha, cutoff) in a bounded cache of 8 matrices, at most 8 * 16 * N^2
-    bytes, and the entries are shared between callers, so they are read-only.
-    Accuracy of the truncation degrades once |alpha|^2 approaches the cutoff.
-    Above a cutoff of about 1040 the Laguerre values overflow for |alpha| up
-    to about 5; that raises FloatingPointError, so no entry is ever returned
-    non-finite.
+    One pass of the Laguerre recurrence, normalized to the matrix entries and
+    vectorized over the order k - l, gives the k >= l entries; the k < l
+    entries are (-1)^(k-l) conjugates of them,
+    <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Every entry is finite at
+    any cutoff. Results are memoized per (alpha, cutoff) in a bounded cache of
+    8 matrices, at most 8 * 16 * N^2 bytes, and the entries are shared between
+    callers, so they are read-only. Accuracy of the truncation degrades once
+    |alpha|^2 approaches the cutoff. A non-finite alpha raises ValueError.
     """
-    return FockMatrix(cutoff, _displacement_entries(complex(alpha), cutoff))
+    alpha = _validate_complex(alpha, "alpha")
+    return FockMatrix(cutoff, _displacement_entries(alpha, cutoff))
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:

@@ -139,20 +139,31 @@ def test_fidelity_rejects_negative_occupancy(runner):
 
 
 def test_fidelity_oracle_overflow_is_a_numerical_failure(runner):
+    # |alpha|^2 itself overflows in the displacement recurrence.
     result = invoke(
-        runner, "fidelity", "--n1", "0.5", "--alpha2", "1,0",
-        "--route", "oracle", "--cutoff", "1100",
+        runner, "fidelity", "--n1", "0.5", "--alpha2", "1e200,0",
+        "--route", "oracle", "--cutoff", "10",
     )
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: overflow")
+    assert result.stderr.startswith("error: ")
 
 
-def test_cf_grid_oracle_overflow_is_a_numerical_failure(runner):
+def test_fidelity_oracle_at_cutoff_1100_matches_closed_form(runner):
+    # Bare Laguerre values would overflow here; the recurrence's entries do not.
+    args = ["fidelity", "--n1", "0.5", "--alpha2", "1,0"]
+    result = invoke(runner, *args, "--route", "oracle", "--cutoff", "1100")
+    assert result.exit_code == 0
+    closed = json.loads(invoke(runner, *args).stdout)["fidelity"]
+    assert abs(json.loads(result.stdout)["fidelity"] - closed) <= 1e-12
+
+
+def test_cf_grid_oracle_check_at_cutoff_1100(runner):
     result = invoke(runner, "cf-grid", "--l1-re", "1:1:1", "--oracle-check", "1100")
-    assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: overflow")
+    assert result.exit_code == 0
+    footer = result.stdout.strip().splitlines()[-1]
+    assert footer.startswith("# max_abs_deviation=")
+    assert float(footer.split("=")[1]) <= 1e-12
 
 
 def test_fidelity_rejects_out_of_range_inputs(runner):
@@ -274,6 +285,41 @@ def test_cf_grid_bad_grid_exits_two(runner):
     assert result.exit_code == 2
     result = invoke(runner, "cf-grid", "--l1-re", "0:1:0")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("grid", ["nan:nan:2", "inf:inf:2", "0:inf:2", "-1e308:1e308:3"])
+def test_non_finite_grid_is_a_usage_error(runner, grid):
+    result = invoke(
+        runner, "cf-grid", "--l1-re", grid, "--oracle-check", "10", "--tol", "1e-6"
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--l1-re'" in result.stderr
+
+
+@pytest.mark.parametrize("values", ["nan", "0,inf", "nan:1:2"])
+def test_non_finite_list_is_a_usage_error(runner, values):
+    result = invoke(runner, "sweep", "--n1", values, "--routes", "closed-form")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--n1'" in result.stderr
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle-check", "10"]],
+                         ids=["cf-only", "oracle-check"])
+def test_cf_grid_overflow_is_a_numerical_failure(runner, oracle):
+    result = invoke(runner, "cf-grid", "--l1-re", "0:1e200:2", *oracle)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
+def test_cf_grid_oracle_overflow_is_a_numerical_failure(runner):
+    # The purification's own displacement overflows |alpha|^2 in the recurrence.
+    result = invoke(runner, "cf-grid", "--alpha", "1e200,0", "--oracle-check", "10")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
