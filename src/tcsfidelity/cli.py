@@ -129,6 +129,13 @@ def _optimizer_config(**options) -> optimizer.OptimizerConfig:
         raise click.UsageError(str(exc)) from exc
 
 
+def _check_tolerance(ctx, param, value: float | None) -> float | None:
+    # A NaN tolerance would switch the check off: ``x > nan`` is False.
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter(f"must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _resolve_occupancy(n: float | None, ratio: float | None, label: str) -> float:
     if n is not None and ratio is not None:
         click.echo(
@@ -244,6 +251,7 @@ def main() -> None:
     "--tol",
     type=float,
     default=None,
+    callback=_check_tolerance,
     help="With --all-routes: exit 1 if the max pairwise discrepancy exceeds this.",
 )
 @click.option("--max-iters", type=int, default=200, show_default=True)
@@ -340,7 +348,7 @@ def optimize(
 @click.option("--l2-im", type=RANGE, default="0:0:1", help="Grid over Im lambda2.")
 @click.option("--oracle-check", type=int, default=None, metavar="N",
               help="Also evaluate the Fock-oracle CF at cutoff N and report the deviation.")
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_check_tolerance,
               help="With --oracle-check: exit 1 if the max deviation exceeds this.")
 def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check, tol):
     """Tabulate the purification characteristic function on a lambda grid (CSV)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import DisplacedThermalState, PurificationSpec
+from .states import DisplacedThermalState, PurificationSpec, _squared_modulus
 
 #: Largest accepted mean occupancy. Beyond this the overlap exponents lose
 #: all double precision to the 1 - sqrt(s1 s2) denominator.
@@ -77,7 +77,9 @@ def tcs_fidelity(
     n2 = state2.mean_occupancy
     base = thermal_fidelity(n1, n2).value
     diff = state2.displacement - state1.displacement
-    value = base * math.exp(-(abs(diff) ** 2) / (n1 + n2 + 1.0))
+    value = base * math.exp(
+        -_squared_modulus(diff, "alpha2 - alpha1") / (n1 + n2 + 1.0)
+    )
     if value == 0.0:
         raise ValueError(
             f"fidelity underflows double precision at |a1 - a2| = {abs(diff):g} "
@@ -128,7 +130,7 @@ def log_overlap_probability(
     log_prefactor = math.log(thermal_fidelity(n1, n2).value)
     return (
         log_prefactor
-        - a * (abs(beta) ** 2 + abs(diff) ** 2)
+        - a * (_squared_modulus(beta, "beta") + _squared_modulus(diff, "alpha2 - alpha1"))
         + 2.0 * b * (beta * diff).real
     )
 

@@ -28,8 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .states import DisplacedThermalState, _validate_complex
+from .states import DisplacedThermalState, _squared_modulus, _validate_complex
 
 DEFAULT_CUTOFF = 60
 
@@ -51,8 +52,9 @@ class FockMatrix:
     displaced_thermal_matrix and partial_trace_mode2 supply the factor alone,
     and ``entries`` is then formed as B B^dag on first access and kept.
     uhlmann_fidelity checks the Hermiticity of every caller-supplied
-    ``entries``, with or without a factor; B B^dag is Hermitian by
-    construction, so it is neither checked nor formed there.
+    ``entries``, with or without a factor. B B^dag is Hermitian by
+    construction, so it is neither checked nor formed there, and the exact
+    diagonal entries of thermal_density_matrix are trusted unchecked too.
     """
 
     def __init__(
@@ -65,8 +67,9 @@ class FockMatrix:
             raise ValueError("FockMatrix needs entries or a factor")
         self.cutoff = cutoff
         self.factor = None if factor is None else self._square(factor, "factor")
-        self._entries_supplied = entries is not None
-        if self._entries_supplied:
+        # Whether uhlmann_fidelity may skip the Hermiticity scan.
+        self._trusted = entries is None
+        if entries is not None:
             # An instance attribute shadows the on-demand property below.
             self.entries = self._square(entries, "entries")
 
@@ -122,7 +125,9 @@ def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
 def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
     """Diagonal thermal density operator truncated at ``cutoff`` levels."""
     eta = thermal_spectrum(nbar, cutoff)
-    return FockMatrix(cutoff, np.diag(eta), factor=np.diag(np.sqrt(eta)))
+    rho = FockMatrix(cutoff, np.diag(eta), factor=np.diag(np.sqrt(eta)))
+    rho._trusted = True  # a real diagonal is Hermitian
+    return rho
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,14 +144,16 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     upward in the degree l, vectorized over the order o: step l advances only
     the orders still inside the matrix. Every value it carries is a matrix
     entry, at most 1 in modulus, so it stays finite at any cutoff. The k < l
-    entries follow from <l|D(alpha)|l+o> = (-1)^o conj(<l+o|D(alpha)|l>).
+    entries follow from <l|D(alpha)|l+o> = (-1)^o conj(<l+o|D(alpha)|l>). The
+    loop stores the real E_l^(o) on both sides of the diagonal, and one
+    product applies every phase at the end.
     """
     out = np.zeros((n, n), dtype=complex)
     if alpha == 0:
         np.fill_diagonal(out, 1.0)
     else:
+        x = _squared_modulus(alpha, "alpha")
         radius = abs(alpha)
-        x = radius**2
         # Part by part: complex / float would turn a -0.0 imaginary part into
         # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
         unit = complex(alpha.real / radius, alpha.imag / radius)
@@ -154,17 +161,37 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
         phase_lower, phase_upper = unit**order, (-unit.conjugate()) ** order
         log_fact = np.array([math.lgamma(o + 1.0) for o in range(n)])
         current = np.exp(order * math.log(radius) - 0.5 * x - 0.5 * log_fact)
-        previous = scale = np.zeros(n)  # sqrt(l (l + o)): step l - 1's divisor
+        # Whole numbers, exact as floats: l + o + 1 and 2l + o + 1 are slices.
+        ramp = np.arange(2.0 * n)
+        shifted = ramp - x
+        # Four length-n buffers, used as prefixes and swapped between steps,
+        # so a step allocates nothing. scale is sqrt(l (l + o)), the divisor
+        # of step l - 1; previous and scale start at zero.
+        previous, scale = np.zeros(n), np.zeros(n)
+        following, divisor = np.empty(n), np.empty(n)
+        # At small n each ufunc call costs more than its arithmetic, so the
+        # loop writes through positional ``out`` arguments of local names.
+        multiply, subtract, divide, sqrt = np.multiply, np.subtract, np.divide, np.sqrt
+        real = out.real
         for l in range(n):
-            out[l:, l] = phase_lower[:n - l] * current
-            out[l, l:] = phase_upper[:n - l] * current
             inside = n - l - 1  # orders still inside the matrix at degree l + 1
-            o = order[:inside]
-            divisor = np.sqrt((l + 1.0) * (l + o + 1))
-            previous, current, scale = current[:inside], (
-                (2 * l + o + 1 - x) * current[:inside]
-                - scale[:inside] * previous[:inside]
-            ) / divisor, divisor
+            here = current[:inside + 1]
+            real[l:, l] = here
+            real[l, l:] = here
+            root = divisor[:inside]
+            sqrt(multiply(l + 1.0, ramp[l + 1:n], root), root)
+            lag = previous[:inside]
+            multiply(scale[:inside], lag, lag)
+            step = following[:inside]
+            subtract(multiply(shifted[2 * l + 1:n + l], here[:inside], step), lag, step)
+            divide(step, root, step)
+            previous, current, following = current, following, previous
+            scale, divisor = divisor, scale
+        # The phase of entry (k, l) is phases[n - 1 - k + l]: a Toeplitz
+        # matrix, viewed without a copy. It must be the first factor: the
+        # product E * phase signs some zero imaginary parts differently.
+        phases = np.concatenate([phase_lower[::-1], phase_upper[1:]])
+        multiply(sliding_window_view(phases, n)[::-1], out, out)
     out.flags.writeable = False
     return out
 
@@ -179,7 +206,10 @@ def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
     any cutoff. Results are memoized per (alpha, cutoff) in a bounded cache of
     8 matrices, at most 8 * 16 * N^2 bytes, and the entries are shared between
     callers, so they are read-only. Accuracy of the truncation degrades once
-    |alpha|^2 approaches the cutoff. A non-finite alpha raises ValueError.
+    |alpha|^2 approaches the cutoff. A non-finite alpha raises ValueError, and
+    one whose |alpha|^2 overflows raises OverflowError. A matrix takes about
+    0.45 ms at N = 80, 2.5 ms at N = 320, 14 ms at N = 1000 and 0.15 s at
+    N = 3000 (best of 5, one OpenBLAS thread, on a 2-vCPU VM).
     """
     alpha = _validate_complex(alpha, "alpha")
     return FockMatrix(cutoff, _displacement_entries(alpha, cutoff))
@@ -225,8 +255,8 @@ def _factor(rho: FockMatrix) -> np.ndarray:
 
 
 def _validate_density_input(rho: FockMatrix, name: str) -> None:
-    if not rho._entries_supplied:
-        return  # B B^dag is Hermitian by construction
+    if rho._trusted:
+        return
     defect = rho.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise ValueError(
@@ -244,7 +274,8 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     carry, so no square root is taken and round-off enters linearly, and an
     input stored as its factor alone never has rho = B B^dag formed: the cost
     is one factor product and one SVD. Caller-supplied entries must be
-    Hermitian to HERMITICITY_TOL, whether or not a factor comes with them. An
+    Hermitian to HERMITICITY_TOL, whether or not a factor comes with them;
+    those of thermal_density_matrix are exact and go unchecked. An
     input built without a factor gets one from a Hermitian eigendecomposition,
     with negative eigenvalues clipped at zero (a RuntimeWarning below
     EIGENVALUE_WARN).

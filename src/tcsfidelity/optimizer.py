@@ -33,7 +33,7 @@ class OptimizerConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("beta_tol", "value_tol", "gradient_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN included
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

@@ -109,6 +109,14 @@ def _validate_complex(value: complex, name: str) -> complex:
     return z
 
 
+def _squared_modulus(z: complex, name: str) -> float:
+    """|z|^2, or an OverflowError that names z when it is out of range."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise OverflowError(f"|{name}|^2 overflows for {name}={z!r}") from None
+
+
 @dataclass(frozen=True)
 class DisplacedThermalState:
     """One-mode thermal state displaced in phase space by a coherent amplitude."""
@@ -217,7 +225,7 @@ def tcs_cf(state: DisplacedThermalState, lam: complex) -> complex:
     n = state.mean_occupancy
     a = state.displacement
     lam = complex(lam)
-    quad = -(n + 0.5) * abs(lam) ** 2
+    quad = -(n + 0.5) * _squared_modulus(lam, "lambda")
     disp = lam * a.conjugate() - lam.conjugate() * a
     return cmath.exp(quad + disp)
 
@@ -235,7 +243,9 @@ def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) 
     l2 = complex(lambda2)
     n = spec.thermal.mean_occupancy
     cross = math.sqrt(n * (n + 1.0)) * 2.0 * (l1 * l2).real
-    quad = -(n + 0.5) * (abs(l1) ** 2 + abs(l2) ** 2) + cross
+    quad = -(n + 0.5) * (
+        _squared_modulus(l1, "lambda1") + _squared_modulus(l2, "lambda2")
+    ) + cross
     disp = (
         l1 * spec.alpha.conjugate()
         - l1.conjugate() * spec.alpha

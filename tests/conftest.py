@@ -1,0 +1,13 @@
+"""Fixtures shared by every test module."""
+
+import pytest
+
+from tcsfidelity import fock_oracle
+
+
+@pytest.fixture(autouse=True)
+def release_cache():
+    """Empty the displacement memo after every test: one N = 3000 matrix takes
+    144 MB, and no test should lean on matrices an earlier one left behind."""
+    yield
+    fock_oracle._displacement_entries.cache_clear()

@@ -146,7 +146,30 @@ def test_fidelity_oracle_overflow_is_a_numerical_failure(runner):
     )
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
+    assert result.stderr == "error: |alpha|^2 overflows for alpha=(1e+200+0j)\n"
+
+
+@pytest.mark.parametrize("route", ["closed-form", "purification-optimized"])
+def test_fidelity_overflow_names_the_displacement_difference(runner, route):
+    result = invoke(runner, "fidelity", "--alpha2", "1e200,0", "--route", route)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: |alpha2 - alpha1|^2 overflows for alpha2 - alpha1=(1e+200+0j)\n"
+    )
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("command", [
+    ["fidelity", "--all-routes", "--n1", "1", "--alpha2", "1,0", "--cutoff", "10"],
+    ["cf-grid", "--n", "1", "--l1-re", "0:1:2", "--oracle-check", "4"],
+], ids=["fidelity", "cf-grid"])
+def test_bad_tolerance_is_a_usage_error(runner, command, tol):
+    # A NaN tolerance used to switch the check off and exit 0.
+    result = invoke(runner, *command, "--tol", tol)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--tol'" in result.stderr
 
 
 def test_fidelity_oracle_at_cutoff_1100_matches_closed_form(runner):
@@ -311,7 +334,7 @@ def test_cf_grid_overflow_is_a_numerical_failure(runner, oracle):
     result = invoke(runner, "cf-grid", "--l1-re", "0:1e200:2", *oracle)
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
+    assert result.stderr == "error: |lambda1|^2 overflows for lambda1=(1e+200+0j)\n"
 
 
 def test_cf_grid_oracle_overflow_is_a_numerical_failure(runner):
@@ -319,7 +342,7 @@ def test_cf_grid_oracle_overflow_is_a_numerical_failure(runner):
     result = invoke(runner, "cf-grid", "--alpha", "1e200,0", "--oracle-check", "10")
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
+    assert result.stderr == "error: |alpha|^2 overflows for alpha=(1e+200+0j)\n"
 
 
 # ---------------------------------------------------------------------------

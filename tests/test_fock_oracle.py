@@ -105,6 +105,38 @@ def mpmath_displacement_entry(alpha: complex, k: int, l: int) -> complex:
         return complex(value)
 
 
+def parent_displacement_entries(alpha: complex, n: int) -> np.ndarray:
+    """fock_oracle._displacement_entries in its allocating form, which forms
+    every phase product and coefficient afresh at each degree step: the
+    reference the buffered form must match byte for byte."""
+    out = np.zeros((n, n), dtype=complex)
+    if alpha == 0:
+        np.fill_diagonal(out, 1.0)
+    else:
+        radius = abs(alpha)
+        x = radius**2
+        # Part by part: complex / float would turn a -0.0 imaginary part into
+        # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
+        unit = complex(alpha.real / radius, alpha.imag / radius)
+        order = np.arange(n)
+        phase_lower, phase_upper = unit**order, (-unit.conjugate()) ** order
+        log_fact = np.array([math.lgamma(o + 1.0) for o in range(n)])
+        current = np.exp(order * math.log(radius) - 0.5 * x - 0.5 * log_fact)
+        previous = scale = np.zeros(n)  # sqrt(l (l + o)): step l - 1's divisor
+        for l in range(n):
+            out[l:, l] = phase_lower[:n - l] * current
+            out[l, l:] = phase_upper[:n - l] * current
+            inside = n - l - 1  # orders still inside the matrix at degree l + 1
+            o = order[:inside]
+            divisor = np.sqrt((l + 1.0) * (l + o + 1))
+            previous, current, scale = current[:inside], (
+                (2 * l + o + 1 - x) * current[:inside]
+                - scale[:inside] * previous[:inside]
+            ) / divisor, divisor
+    out.flags.writeable = False
+    return out
+
+
 def scalar_displacement(alpha: complex, n: int) -> np.ndarray:
     """D(alpha) from two scalar passes, the k < l entries from
     D(alpha)^dag = D(-alpha), with bare Laguerre values: the reference
@@ -194,6 +226,7 @@ def test_displacement_equals_scalar_recurrence(alpha, n):
     # The normalized recurrence rounds differently; measured max 7.0e-14.
     computed = displacement_matrix(alpha, n).entries
     assert np.max(np.abs(computed - scalar_displacement(alpha, n))) <= 1e-13
+    assert computed.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
 
 
 def test_displacement_entries_are_read_only():
@@ -220,14 +253,6 @@ def test_displacement_cutoffs_never_share_entries():
         assert not np.shares_memory(matrices[9], matrices[10])
 
 
-@pytest.fixture()
-def release_cache():
-    """Drop the memoized matrices after a large-N test: 144 MB apiece at N = 3000."""
-    yield
-    fock_oracle._displacement_entries.cache_clear()
-
-
-@pytest.mark.usefixtures("release_cache")
 @pytest.mark.parametrize("alpha,n,bound", [(5.0, 200, 5e-15), (30.0, 1500, 6e-13)])
 def test_displacement_low_block_unitarity(alpha, n, bound):
     low = 10
@@ -240,7 +265,8 @@ def test_displacement_low_block_unitarity(alpha, n, bound):
 
 def test_displacement_overflow_raises_instead_of_returning_non_finite():
     # From |alpha| of about 1.3e154, |alpha|^2 is out of range.
-    with pytest.raises(OverflowError):
+    message = r"^\|alpha\|\^2 overflows for alpha=\(1e\+200\+0j\)$"
+    with pytest.raises(OverflowError, match=message):
         displacement_matrix(1e200, 5)
 
 
@@ -259,7 +285,6 @@ def test_displacement_is_finite_and_exact_where_bare_laguerre_values_overflow():
     assert np.max(np.abs(low - np.eye(10))) <= 1e-12
 
 
-@pytest.mark.usefixtures("release_cache")
 @pytest.mark.parametrize("alpha,n,bound", [
     (0.3 + 0.2j, 80, 5e-14),
     (1.5, 200, 5e-14),
@@ -286,6 +311,7 @@ def test_displacement_matches_mpmath(alpha, n, bound):
     # 40 seeded entries per case: 20 among those above 1e-3 in modulus, where
     # round-off shows, and 20 anywhere in the matrix.
     entries = displacement_matrix(alpha, n).entries
+    assert entries.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
     rng = np.random.default_rng(n)
     large = np.argwhere(np.abs(entries) > 1e-3)
     picks = [*large[rng.integers(0, len(large), 20)], *rng.integers(0, n, (20, 2))]
@@ -309,6 +335,7 @@ def test_displacement_properties(radius, angle, n):
     alpha = radius * cmath.exp(1j * angle)
     entries = displacement_matrix(alpha, n).entries
     negated = displacement_matrix(-alpha, n).entries
+    assert entries.tobytes() == parent_displacement_entries(alpha, n).tobytes()
     assert np.all(np.isfinite(entries))
     assert np.max(np.abs(entries)) <= 1 + 1e-12
     assert np.array_equal(entries.conj().T, negated)
@@ -456,6 +483,19 @@ def test_uhlmann_rejects_non_hermitian():
         uhlmann_fidelity(
             thermal_density_matrix(0.0, 10), FockMatrix(10, bad, factor=np.eye(10))
         )
+
+
+def test_uhlmann_trusts_constructed_thermal_entries(monkeypatch):
+    # thermal_density_matrix's exact diagonal needs no Hermiticity scan.
+    def refuse(self):
+        raise AssertionError("uhlmann_fidelity scanned constructor-made entries")
+
+    monkeypatch.setattr(FockMatrix, "hermiticity_defect", refuse)
+    thermal = thermal_density_matrix(0.5, 40)
+    undisplaced = displaced_thermal_matrix(make_state(1.0, 0j), 40)
+    displaced = displaced_thermal_matrix(make_state(0.5, 1.3 + 0.8j), 40)
+    assert 0.0 < uhlmann_fidelity(thermal, displaced) < 1.0
+    assert 0.0 < uhlmann_fidelity(displaced, undisplaced) < 1.0
 
 
 def test_uhlmann_rejects_cutoff_mismatch():

@@ -179,3 +179,6 @@ def test_config_rejects_bad_values():
         OptimizerConfig(value_tol=-1e-3)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+    for name in ("beta_tol", "value_tol", "gradient_tol"):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: math.nan})

@@ -256,6 +256,17 @@ def test_purification_cf_modulus_bounded():
         assert abs(purification_cf(spec, lam1, lam2)) <= 1.0 + 1e-12
 
 
+def test_cf_overflow_names_the_argument():
+    spec = make_spec(0.5, 0j, 0j)
+    huge = complex(1e200, 0.0)
+    with pytest.raises(OverflowError, match=r"^\|lambda\|\^2 overflows for lambda=\(1e\+200"):
+        tcs_cf(make_state(0.5, 0j), huge)
+    with pytest.raises(OverflowError, match=r"^\|lambda1\|\^2 overflows for lambda1=\(1e\+200"):
+        purification_cf(spec, huge, 0j)
+    with pytest.raises(OverflowError, match=r"^\|lambda2\|\^2 overflows for lambda2=1e\+200j$"):
+        purification_cf(spec, 0j, 1e200j)
+
+
 def test_purification_cf_marginals_ignore_other_mode():
     thermal = ThermalParams(0.8)
     lam = 0.4 - 0.1j
