@@ -3,8 +3,8 @@
 Four mutually validating routes: the closed-form expression, the overlap
 of the optimal two-mode Gaussian purifications, numerical maximization of
 that overlap over the free mode-2 displacement, and a truncated Fock-space
-matrix oracle. ``compute_route`` runs any of them by name; ``ROUTES`` lists
-them in report order.
+matrix oracle. ``compute_route`` runs any of them by name, ``compare`` runs
+several side by side, and ``ROUTES`` lists them in report order.
 """
 
 from .closed_form import (
@@ -38,7 +38,7 @@ from .optimizer import (
     maximize_overlap,
     objective,
 )
-from .routes import ROUTES, RouteResult, compute_route
+from .routes import ROUTES, RouteResult, compare, compute_route
 from .states import (
     BOLTZMANN_K,
     HBAR,
@@ -79,6 +79,7 @@ __all__ = [
     "bures_distance",
     "cf_of_two_mode_vector",
     "cf_phase_space_vector",
+    "compare",
     "compute_route",
     "displaced_thermal_matrix",
     "displacement_matrix",

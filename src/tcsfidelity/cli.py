@@ -5,6 +5,7 @@ stderr. Output is deterministic: identical invocations produce byte-identical
 streams, and no timestamps or wall-clock values appear anywhere.
 
 Exit codes: 0 success, 1 numerical or convergence failure, 2 usage error.
+Every command is an ``ExitCodeCommand``, which maps library exceptions to them.
 """
 
 from __future__ import annotations
@@ -122,13 +123,6 @@ def _fail(message: str) -> NoReturn:
     sys.exit(1)
 
 
-def _optimizer_config(**options) -> optimizer.OptimizerConfig:
-    try:
-        return optimizer.OptimizerConfig(**options)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 def _check_tolerance(ctx, param, value: float | None) -> float | None:
     # A NaN tolerance would switch the check off: ``x > nan`` is False.
     if value is not None and not (math.isfinite(value) and value >= 0.0):
@@ -144,29 +138,12 @@ def _resolve_occupancy(n: float | None, ratio: float | None, label: str) -> floa
         )
         return n
     if ratio is not None:
-        try:
-            return states.mean_occupancy_from_temperature(ratio=ratio)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        return states.mean_occupancy_from_temperature(ratio=ratio)
     return n if n is not None else 0.0
 
 
 def _build_state(n: float, alpha: complex) -> states.DisplacedThermalState:
-    try:
-        return states.DisplacedThermalState(states.ThermalParams(n), alpha)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _run_route(*args, **kwargs) -> routes.RouteResult:
-    """routes.compute_route with its failures mapped to exit codes."""
-    try:
-        return routes.compute_route(*args, **kwargs)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        _fail(str(exc))
-    except ValueError as exc:
-        # domain failures from the library (occupancy cap, underflow)
-        raise click.UsageError(str(exc)) from exc
+    return states.DisplacedThermalState(states.ThermalParams(n), alpha)
 
 
 def _report(result: routes.RouteResult) -> dict:
@@ -183,52 +160,64 @@ def _report(result: routes.RouteResult) -> dict:
     return report
 
 
-def _route_report(name: str, state1, state2, cutoff: int, config) -> dict:
-    result = _run_route(name, state1, state2, cutoff, config)
-    if not result.converged:
+def _compare(state1, state2, names, cutoff: int, config) -> dict[str, routes.RouteResult]:
+    """routes.compare, or the non-converged result as JSON and exit 1."""
+    results = routes.compare(state1, state2, names, cutoff, config)
+    last = list(results.values())[-1]
+    if not last.converged:
         _emit_json(
             {
                 "schema": SCHEMA_VERSION,
-                "route": result.route,
+                "route": last.route,
                 "converged": False,
-                "diagnostics": result.diagnostics,
+                "diagnostics": last.diagnostics,
             }
         )
         _fail("optimizer did not converge")
-    return _report(result)
+    return results
 
 
 def _state_options(command):
     decorators = [
-        click.option("--n1", type=float, default=None, help="Mean occupancy of state 1."),
-        click.option("--n2", type=float, default=None, help="Mean occupancy of state 2."),
-        click.option(
-            "--temp-ratio1",
-            type=float,
-            default=None,
-            help="hbar*w/(k_B*T) for state 1; --n1 wins if both are given.",
-        ),
-        click.option(
-            "--temp-ratio2",
-            type=float,
-            default=None,
-            help="hbar*w/(k_B*T) for state 2; --n2 wins if both are given.",
-        ),
-        click.option(
-            "--alpha1", type=COMPLEX, default="0,0", help="Displacement of state 1."
-        ),
-        click.option(
-            "--alpha2", type=COMPLEX, default="0,0", help="Displacement of state 2."
-        ),
+        click.option("--n1", type=float, help="Mean occupancy of state 1."),
+        click.option("--n2", type=float, help="Mean occupancy of state 2."),
+        click.option("--temp-ratio1", type=float,
+                     help="hbar*w/(k_B*T) for state 1; --n1 wins if both are given."),
+        click.option("--temp-ratio2", type=float,
+                     help="hbar*w/(k_B*T) for state 2; --n2 wins if both are given."),
+        click.option("--alpha1", type=COMPLEX, default="0,0",
+                     help="Displacement of state 1."),
+        click.option("--alpha2", type=COMPLEX, default="0,0",
+                     help="Displacement of state 2."),
     ]
     for decorator in reversed(decorators):
         command = decorator(command)
     return command
 
 
+class ExitCodeCommand(click.Command):
+    """A command whose library failures follow the exit codes.
+
+    Numerical failures (ArithmeticError, numpy.linalg.LinAlgError) exit 1 with
+    an ``error:`` line; any other ValueError is an input outside the library's
+    domain, a usage error that exits 2.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            _fail(str(exc))
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 def main() -> None:
     """Fidelity between displaced thermal states, with cross-validating routes."""
+
+
+main.command_class = ExitCodeCommand
 
 
 @main.command()
@@ -250,7 +239,6 @@ def main() -> None:
 @click.option(
     "--tol",
     type=float,
-    default=None,
     callback=_check_tolerance,
     help="With --all-routes: exit 1 if the max pairwise discrepancy exceeds this.",
 )
@@ -263,32 +251,29 @@ def fidelity(
     """Fidelity and Bures distance between two displaced thermal states."""
     state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
     state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
-    config = _optimizer_config(max_iters=max_iters)
-    if all_routes:
-        reports = [
-            _route_report(name, state1, state2, cutoff, config) for name in routes.ROUTES
-        ]
-        discrepancy = max(
-            abs(a["fidelity"] - b["fidelity"]) for a, b in combinations(reports, 2)
+    config = optimizer.OptimizerConfig(max_iters=max_iters)
+    names = routes.ROUTES if all_routes else [route.replace("-", "_")]
+    results = _compare(state1, state2, names, cutoff, config)
+    reports = [_report(result) for result in results.values()]
+    # A single route has no pair, so its discrepancy 0 never breaches --tol.
+    discrepancy = max(
+        (abs(a["fidelity"] - b["fidelity"]) for a, b in combinations(reports, 2)),
+        default=0.0,
+    )
+    if not emit_json:
+        _echo_report_csv(reports)
+    elif all_routes:
+        _emit_json(
+            {
+                "schema": SCHEMA_VERSION,
+                "reports": reports,
+                "max_pairwise_discrepancy": discrepancy,
+            }
         )
-        if emit_json:
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "reports": reports,
-                    "max_pairwise_discrepancy": discrepancy,
-                }
-            )
-        else:
-            _echo_report_csv(reports)
-        if tol is not None and discrepancy > tol:
-            _fail(f"route discrepancy {discrepancy!r} > {tol!r}")
-        return
-    report = _route_report(route.replace("-", "_"), state1, state2, cutoff, config)
-    if emit_json:
-        _emit_json({"schema": SCHEMA_VERSION, **report})
     else:
-        _echo_report_csv([report])
+        _emit_json({"schema": SCHEMA_VERSION, **reports[0]})
+    if tol is not None and discrepancy > tol:
+        _fail(f"route discrepancy {discrepancy!r} > {tol!r}")
 
 
 def _echo_report_csv(reports: list[dict]) -> None:
@@ -318,10 +303,10 @@ def optimize(
     analytic optimum."""
     state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
     state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
-    config = _optimizer_config(
+    config = optimizer.OptimizerConfig(
         method=method, beta_tol=beta_tol, value_tol=value_tol, max_iters=max_iters
     )
-    result = _run_route("purification_optimized", state1, state2, config=config)
+    result = routes.compute_route("purification_optimized", state1, state2, config=config)
     analytic = closed_form.optimal_beta(state1, state2)
     _emit_json(
         {
@@ -337,8 +322,8 @@ def optimize(
 
 
 @main.command(name="cf-grid")
-@click.option("--n", type=float, default=None, help="Mean occupancy.")
-@click.option("--temp-ratio", type=float, default=None,
+@click.option("--n", type=float, help="Mean occupancy.")
+@click.option("--temp-ratio", type=float,
               help="hbar*w/(k_B*T); --n wins if both are given.")
 @click.option("--alpha", type=COMPLEX, default="0,0", help="Mode-1 displacement.")
 @click.option("--beta", type=COMPLEX, default="0,0", help="Mode-2 displacement.")
@@ -346,34 +331,26 @@ def optimize(
 @click.option("--l1-im", type=RANGE, default="0:0:1", help="Grid over Im lambda1.")
 @click.option("--l2-re", type=RANGE, default="0:0:1", help="Grid over Re lambda2.")
 @click.option("--l2-im", type=RANGE, default="0:0:1", help="Grid over Im lambda2.")
-@click.option("--oracle-check", type=int, default=None, metavar="N",
+@click.option("--oracle-check", type=int, metavar="N",
               help="Also evaluate the Fock-oracle CF at cutoff N and report the deviation.")
-@click.option("--tol", type=float, default=None, callback=_check_tolerance,
+@click.option("--tol", type=float, callback=_check_tolerance,
               help="With --oracle-check: exit 1 if the max deviation exceeds this.")
 def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check, tol):
     """Tabulate the purification characteristic function on a lambda grid (CSV)."""
     occupancy = _resolve_occupancy(n, temp_ratio, "n")
-    try:
-        spec = states.PurificationSpec(states.ThermalParams(occupancy), alpha, beta)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    spec = states.PurificationSpec(states.ThermalParams(occupancy), alpha, beta)
     lambdas1 = [complex(re1, im1) for re1 in l1_re for im1 in l1_im]
     lambdas2 = [complex(re2, im2) for re2 in l2_re for im2 in l2_im]
     if oracle_check is not None and oracle_check < 1:
         raise click.UsageError("--oracle-check cutoff must be >= 1")
     # Every value is computed before the first row is printed, so a numerical
     # failure leaves stdout empty.
-    try:
-        table = [
-            [states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1
-        ]
-        if oracle_check is not None:
-            vector = fock_oracle.schmidt_purification(
-                spec.mode1_state(), spec.beta, oracle_check
-            )
-            oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
-    except ArithmeticError as exc:
-        _fail(str(exc))
+    table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
+    if oracle_check is not None:
+        vector = fock_oracle.schmidt_purification(
+            spec.mode1_state(), spec.beta, oracle_check
+        )
+        oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
     if oracle_check is not None:
         header += ",re_chi_oracle,im_chi_oracle"
@@ -421,7 +398,8 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     unknown = [name for name in selected if name not in ROUTE_NAMES]
     if unknown:
         raise click.UsageError(f"unknown routes {unknown}; valid: {', '.join(ROUTE_NAMES)}")
-    config = _optimizer_config(max_iters=max_iters)
+    selected = [name.replace("-", "_") for name in selected]
+    config = optimizer.OptimizerConfig(max_iters=max_iters)
     points = sorted(
         (float(v1), float(v2), d.real, d.imag)
         for v1 in n1
@@ -432,23 +410,21 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     for v1, v2, d_re, d_im in points:
         state1 = _build_state(v1, alpha1)
         state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
-        closed_value = _run_route("closed_form", state1, state2).fidelity
+        # The closed form is the reference, run once even when it is selected.
+        results = _compare(state1, state2, ["closed_form", *selected], cutoff, config)
+        closed_value = results["closed_form"].fidelity
         for name in selected:
-            report = _route_report(
-                name.replace("-", "_"), state1, state2, cutoff, config
-            )
+            value = results[name].fidelity
             rows.append(
                 {
                     "n1": v1,
                     "n2": v2,
                     "re_dalpha": d_re,
                     "im_dalpha": d_im,
-                    "route": report["route"],
-                    "fidelity": report["fidelity"],
-                    "bures_distance": report["bures_distance"],
-                    "discrepancy_vs_closed_form": abs(
-                        report["fidelity"] - closed_value
-                    ),
+                    "route": name,
+                    "fidelity": value,
+                    "bures_distance": closed_form.bures_distance(value),
+                    "discrepancy_vs_closed_form": abs(value - closed_value),
                 }
             )
     if emit_json:
@@ -465,15 +441,11 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
               help="Transition probability in (0, 1].")
 def bures(fidelity_value):
     """Bures distance for a given fidelity."""
-    try:
-        distance = closed_form.bures_distance(fidelity_value)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     _emit_json(
         {
             "schema": SCHEMA_VERSION,
             "fidelity": fidelity_value,
-            "bures_distance": distance,
+            "bures_distance": closed_form.bures_distance(fidelity_value),
         }
     )
 

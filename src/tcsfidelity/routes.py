@@ -9,6 +9,7 @@ does, is seen by every route.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import closed_form, fock_oracle, gaussian_overlap, optimizer, states
@@ -63,6 +64,9 @@ def _purification_optimized(state1, state2, cutoff, config) -> RouteResult:
 
 
 def _gaussian_overlap(state1, state2, cutoff, config) -> RouteResult:
+    # The engine's quadratic form grows with |alpha2 - alpha1|^2; name that
+    # overflow here rather than let the form reach inf and the fidelity 0.
+    states._squared_modulus(state2.displacement - state1.displacement, "alpha2 - alpha1")
     beta = closed_form.optimal_beta(state1, state2)
     reference = states.PurificationSpec(state1.thermal, state1.displacement, 0j)
     free = states.PurificationSpec(state2.thermal, state2.displacement, beta)
@@ -100,3 +104,24 @@ def compute_route(
     ValueError and so must be caught first.
     """
     return ROUTES[name](state1, state2, cutoff, config or optimizer.OptimizerConfig())
+
+
+def compare(
+    state1: states.DisplacedThermalState,
+    state2: states.DisplacedThermalState,
+    names: Iterable[str],
+    cutoff: int = fock_oracle.DEFAULT_CUTOFF,
+    config: optimizer.OptimizerConfig | None = None,
+) -> dict[str, RouteResult]:
+    """The routes ``names`` side by side: each runs once, in the order given.
+
+    The comparison stops after the first result that did not converge, which
+    then comes last. Failures raise as in ``compute_route``.
+    """
+    results: dict[str, RouteResult] = {}
+    for name in names:
+        if name not in results:
+            results[name] = compute_route(name, state1, state2, cutoff, config)
+            if not results[name].converged:
+                break
+    return results

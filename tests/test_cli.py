@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tcsfidelity import fock_oracle
-from tcsfidelity.cli import ComplexParam, format_complex, main
+from tcsfidelity import closed_form, fock_oracle
+from tcsfidelity.cli import ComplexParam, ExitCodeCommand, format_complex, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -149,7 +149,7 @@ def test_fidelity_oracle_overflow_is_a_numerical_failure(runner):
     assert result.stderr == "error: |alpha|^2 overflows for alpha=(1e+200+0j)\n"
 
 
-@pytest.mark.parametrize("route", ["closed-form", "purification-optimized"])
+@pytest.mark.parametrize("route", ["closed-form", "purification-optimized", "gaussian-overlap"])
 def test_fidelity_overflow_names_the_displacement_difference(runner, route):
     result = invoke(runner, "fidelity", "--alpha2", "1e200,0", "--route", route)
     assert result.exit_code == 1
@@ -428,6 +428,20 @@ def test_sweep_rejects_unknown_route(runner):
     assert result.exit_code == 2
 
 
+def test_sweep_runs_the_closed_form_once_per_point(runner, monkeypatch):
+    calls = []
+    tcs_fidelity = closed_form.tcs_fidelity
+    monkeypatch.setattr(
+        closed_form, "tcs_fidelity", lambda *args: calls.append(args) or tcs_fidelity(*args)
+    )
+    result = invoke(
+        runner, "sweep", "--n1", "1", "--n2", "0", "--dalpha", "1,0",
+        "--routes", "closed-form",
+    )
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
 def test_sweep_closed_form_failure_maps_like_fidelity(runner):
     swept = invoke(
         runner, "sweep", "--n1", "0", "--n2", "0", "--dalpha", "40,0",
@@ -460,6 +474,53 @@ def test_bures_rejects_out_of_range(runner):
     for bad in ("0", "-0.5", "1.5"):
         result = invoke(runner, "bures", "--fidelity", bad)
         assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+OVERFLOW_LINE = "error: |alpha2 - alpha1|^2 overflows for alpha2 - alpha1=(1e+200+0j)"
+
+# Command, exit code, last stderr line.
+EXIT_CODE_TABLE = [
+    (["optimize", "--alpha2", "1e200,0"], 1, OVERFLOW_LINE),
+    (["sweep", "--n1", "0", "--n2", "0", "--dalpha", "1e200,0", "--routes", "oracle",
+      "--cutoff", "5"], 1, OVERFLOW_LINE),
+    (["optimize", "--n1", "1e9"], 2,
+     "Error: n1=1000000000.0 exceeds the supported range (max 1e+08); "
+     "double precision breaks down beyond it"),
+    (["optimize", "--beta-tol", "nan"], 2, "Error: beta_tol must be positive"),
+    (["cf-grid", "--n", "-1"], 2, "Error: mean_occupancy must be finite and >= 0, got -1.0"),
+    (["cf-grid", "--temp-ratio", "-2"], 2,
+     "Error: hbar*w/(k_B*T) ratio must be positive, got -2.0"),
+    (["fidelity", "--route", "oracle", "--cutoff", "0"], 2,
+     "Error: cutoff must be >= 1, got 0"),
+    (["sweep", "--cutoff", "0", "--routes", "oracle"], 2,
+     "Error: cutoff must be >= 1, got 0"),
+    (["bures", "--fidelity", "0"], 2, "Error: fidelity must lie in (0, 1], got 0.0"),
+]
+
+
+@pytest.mark.parametrize("args, code, last_line", EXIT_CODE_TABLE,
+                         ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
+def test_library_failures_follow_the_exit_codes(runner, args, code, last_line):
+    result = invoke(runner, *args)
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == last_line
+    # Only the exit itself escapes the command, no library exception.
+    assert isinstance(result.exception, SystemExit)
+    if code == 2:
+        assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+
+
+def test_every_command_maps_library_failures():
+    assert main.commands
+    assert [
+        name for name, command in main.commands.items()
+        if not isinstance(command, ExitCodeCommand)
+    ] == []
 
 
 # ---------------------------------------------------------------------------

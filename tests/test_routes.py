@@ -1,12 +1,13 @@
 """Tests for the route registry: one RouteResult per route, in report order."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from tcsfidelity import fock_oracle, routes
-from tcsfidelity.routes import RouteResult, compute_route
+from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer, routes
+from tcsfidelity.routes import RouteResult, compare, compute_route
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
 GOLDEN = json.loads(
@@ -51,3 +52,39 @@ def test_route_result_rejects_fidelity_outside_unit_interval(fidelity):
     with pytest.raises(ArithmeticError, match="produced fidelity"):
         RouteResult("oracle", fidelity)
 
+
+
+def test_compare_runs_the_named_routes_in_order():
+    names = ["gaussian_overlap", "closed_form", "oracle", "purification_optimized"]
+    results = compare(STATE1, STATE2, names, CUTOFF)
+    assert list(results) == names
+    golden = {report["route"]: report["fidelity"] for report in GOLDEN["reports"]}
+    assert {name: result.fidelity for name, result in results.items()} == golden
+
+
+def test_compare_runs_a_repeated_name_once(monkeypatch):
+    calls = []
+    tcs_fidelity = closed_form.tcs_fidelity
+    monkeypatch.setattr(
+        closed_form, "tcs_fidelity", lambda *args: calls.append(args) or tcs_fidelity(*args)
+    )
+    results = compare(STATE1, STATE2, ["closed_form", "oracle", "closed_form"], 8)
+    assert list(results) == ["closed_form", "oracle"]
+    assert len(calls) == 1
+
+
+def test_compare_stops_after_a_route_that_did_not_converge(monkeypatch):
+    maximize_overlap = optimizer.maximize_overlap
+    monkeypatch.setattr(
+        optimizer, "maximize_overlap",
+        lambda *args: dataclasses.replace(maximize_overlap(*args), converged=False),
+    )
+
+    def must_not_run(*args):
+        raise AssertionError("the Gaussian route ran after a non-converged route")
+
+    monkeypatch.setattr(gaussian_overlap, "pure_overlap", must_not_run)
+    results = compare(STATE1, STATE2, routes.ROUTES, CUTOFF)
+    assert list(results) == ["closed_form", "oracle", "purification_optimized"]
+    assert not results["purification_optimized"].converged
+    assert all(result.converged for result in list(results.values())[:-1])
