@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import combinations
+from collections.abc import Callable
+from functools import partial
 from typing import NoReturn
 
 import click
@@ -27,86 +28,70 @@ SCHEMA_VERSION = 1
 ROUTE_NAMES = tuple(name.replace("_", "-") for name in routes.ROUTES)
 
 
-class ComplexParam(click.ParamType):
+class ParsedParam(click.ParamType):
+    """A flag value read by ``parse``, whose ValueError message is the usage error."""
+
+    def __init__(self, name: str, parse: Callable[[str], object]) -> None:
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):  # already converted
+            return value
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+def _parse_complex(text: str) -> complex:
     """Complex number in the exact form 're,im' (one comma, no spaces)."""
-
-    name = "re,im"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        text = str(value)
-        if " " in text or text.count(",") != 1:
-            self.fail(f"{text!r} is not of the form 're,im'", param, ctx)
+    try:
         re_text, im_text = text.split(",")
-        try:
+        if " " not in text:
             return complex(float(re_text), float(im_text))
-        except ValueError:
-            self.fail(f"{text!r} is not of the form 're,im'", param, ctx)
+    except ValueError:
+        pass
+    raise ValueError(f"{text!r} is not of the form 're,im'")
 
 
-class RangeParam(click.ParamType):
+def _parse_range(text: str) -> list[float]:
     """Evenly spaced grid in the form 'start:stop:count'."""
-
-    name = "start:stop:count"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, list):
-            return value
-        parts = str(value).split(":")
-        if len(parts) != 3:
-            self.fail(f"{value!r} is not of the form 'start:stop:count'", param, ctx)
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            self.fail(f"{value!r} is not of the form 'start:stop:count'", param, ctx)
-        if not math.isfinite(stop - start):  # NaN, inf, or an overflowing span
-            self.fail(f"{value!r} needs finite end points and span", param, ctx)
-        if count < 1:
-            self.fail("grid count must be >= 1", param, ctx)
-        if count == 1 and start != stop:
-            self.fail("a single-point grid needs start == stop", param, ctx)
-        return [float(x) for x in np.linspace(start, stop, count)]
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(f"{text!r} is not of the form 'start:stop:count'") from None
+    if not math.isfinite(stop - start):  # NaN, inf, or an overflowing span
+        raise ValueError(f"{text!r} needs finite end points and span")
+    if count < 1:
+        raise ValueError("grid count must be >= 1")
+    if count == 1 and start != stop:
+        raise ValueError("a single-point grid needs start == stop")
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
-class RealListParam(click.ParamType):
+def _parse_real_list(text: str) -> list[float]:
     """Comma-separated reals 'a,b,c' or a range 'start:stop:count'."""
-
-    name = "list|range"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, list):
-            return value
-        text = str(value)
-        if ":" in text:
-            return RangeParam().convert(text, param, ctx)
-        try:
-            values = [float(piece) for piece in text.split(",")]
-        except ValueError:
-            self.fail(f"{text!r} is not a comma-separated list of reals", param, ctx)
-        if not all(map(math.isfinite, values)):
-            self.fail(f"{text!r} has a non-finite value", param, ctx)
-        return values
+    if ":" in text:
+        return _parse_range(text)
+    try:
+        values = [float(piece) for piece in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{text!r} is not a comma-separated list of reals") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{text!r} has a non-finite value")
+    return values
 
 
-class ComplexListParam(click.ParamType):
-    """Semicolon-separated complex values 're,im;re,im;...'."""
-
-    name = "re,im;..."
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, list):
-            return value
-        return [
-            ComplexParam().convert(piece, param, ctx)
-            for piece in str(value).split(";")
-        ]
-
-
+ComplexParam = partial(ParsedParam, "re,im", _parse_complex)
 COMPLEX = ComplexParam()
-RANGE = RangeParam()
-REAL_LIST = RealListParam()
-COMPLEX_LIST = ComplexListParam()
+RANGE = ParsedParam("start:stop:count", _parse_range)
+REAL_LIST = ParsedParam("list|range", _parse_real_list)
+# Semicolon-separated complex values 're,im;re,im;...'.
+COMPLEX_LIST = ParsedParam(
+    "re,im;...", lambda text: [_parse_complex(piece) for piece in text.split(";")]
+)
 
 
 def format_complex(z: complex) -> str:
@@ -255,11 +240,10 @@ def fidelity(
     names = routes.ROUTES if all_routes else [route.replace("-", "_")]
     results = _compare(state1, state2, names, cutoff, config)
     reports = [_report(result) for result in results.values()]
-    # A single route has no pair, so its discrepancy 0 never breaches --tol.
-    discrepancy = max(
-        (abs(a["fidelity"] - b["fidelity"]) for a, b in combinations(reports, 2)),
-        default=0.0,
-    )
+    # Rounding is monotone, so max - min is the largest pairwise |a - b|; a
+    # single route gives 0, which never breaches --tol.
+    fidelities = [report["fidelity"] for report in reports]
+    discrepancy = max(fidelities) - min(fidelities)
     if not emit_json:
         _echo_report_csv(reports)
     elif all_routes:

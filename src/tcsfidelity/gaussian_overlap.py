@@ -62,5 +62,7 @@ def pure_overlap(g1: GaussianForm, g2: GaussianForm) -> OverlapResult:
     for j in range(len(z)):
         z[j] /= chol[j, j]
         z[j + 1:] -= z[j] * chol[j + 1:, j]
-    log_value = -0.5 * float(z @ z) - 0.5 * log_det
+    # z @ z overflows only where the overlap underflows; log_value is then -inf.
+    with np.errstate(over="ignore"):
+        log_value = -0.5 * float(z @ z) - 0.5 * log_det
     return OverlapResult(value=math.exp(log_value), log_value=log_value)

@@ -22,7 +22,7 @@ class RouteResult:
     ``beta_star`` is the optimal mode-2 displacement of the routes that find
     one and ``cutoff`` the Fock truncation of the oracle. ``converged`` is
     False only when the optimizer stopped short of its tolerance. A fidelity
-    outside (0, 1] raises ArithmeticError.
+    outside (0, 1] raises ArithmeticError, one of exactly 0 as an underflow.
     """
 
     route: str
@@ -33,9 +33,14 @@ class RouteResult:
     converged: bool = True
 
     def __post_init__(self) -> None:
-        # Round-off may overshoot 1 by ulps; anything further is a bug.
+        # Round-off may overshoot 1 by ulps and 0 is an underflow; anything else
+        # outside (0, 1] is a bug.
         if 1.0 < self.fidelity <= 1.0 + 1e-9:
             object.__setattr__(self, "fidelity", 1.0)
+        elif self.fidelity == 0.0:
+            raise ArithmeticError(
+                f"route {self.route} produced fidelity 0.0: it underflows double precision"
+            )
         elif not 0.0 < self.fidelity <= 1.0:
             raise ArithmeticError(
                 f"internal error: route {self.route} produced fidelity {self.fidelity!r}"

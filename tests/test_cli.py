@@ -500,6 +500,21 @@ EXIT_CODE_TABLE = [
      "Error: cutoff must be >= 1, got 0"),
     (["bures", "--fidelity", "0"], 2, "Error: fidelity must lie in (0, 1], got 0.0"),
 ]
+# A route whose fidelity underflows says so and exits 1; only the closed form
+# still exits 2 there. At 1e154 the Gaussian route's quadratic form overflows
+# without numpy's RuntimeWarning, which the test settings make an error.
+UNDERFLOW_LINE = "error: route {} produced fidelity 0.0: it underflows double precision"
+EXIT_CODE_TABLE += [
+    (["fidelity", "--alpha2", "30,0", "--route", "oracle", "--cutoff", "10"], 1,
+     UNDERFLOW_LINE.format("oracle")),
+    (["fidelity", "--alpha2", "30,0", "--route", "purification-optimized"], 1,
+     UNDERFLOW_LINE.format("purification_optimized")),
+    (["fidelity", "--alpha2", "30,0", "--route", "gaussian-overlap"], 1,
+     UNDERFLOW_LINE.format("gaussian_overlap")),
+    (["fidelity", "--alpha2", "1e154,0", "--route", "gaussian-overlap"], 1,
+     UNDERFLOW_LINE.format("gaussian_overlap")),
+    (["optimize", "--alpha2", "40,0"], 1, UNDERFLOW_LINE.format("purification_optimized")),
+]
 
 
 @pytest.mark.parametrize("args, code, last_line", EXIT_CODE_TABLE,
