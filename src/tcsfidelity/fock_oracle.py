@@ -9,9 +9,8 @@ traces and characteristic functions.
 The fidelity is Uhlmann's maximal transition probability between
 purifications. A density matrix rho = B B^dag is purified by the amplitude
 matrix B, and the maximum over all purifications is the squared nuclear norm
-||B2^dag B1||_*^2. Every constructor here stores such a factor, and for the
-displaced thermal and reduced states the factor is the stored data: rho itself
-is formed as B B^dag only when its entries are read. The fidelity therefore
+||B2^dag B1||_*^2. A FockMatrix is held as such a factor, so rho itself is
+formed as B B^dag only when its entries are read. The fidelity therefore
 costs one factor product and one singular-value decomposition, with no density
 product, no matrix square root and no eigenvalue clipping.
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,63 +32,36 @@ from .states import DisplacedThermalState, _squared_modulus, _validate_complex
 
 DEFAULT_CUTOFF = 60
 
-#: Tolerated deviation from Hermiticity for density-matrix inputs.
-HERMITICITY_TOL = 1e-12
-
-#: Eigenvalues of a factor-less input below this are reported before being
-#: clipped to zero; anything between it and zero is silent round-off.
-EIGENVALUE_WARN = -1e-10
-
 
 class FockMatrix:
-    """Dense complex matrix over the number basis truncated at ``cutoff``.
+    """Density matrix over the number basis truncated at ``cutoff``, held as
+    its purification factor.
 
-    Built from ``entries``, from ``factor``, or from both. ``factor`` is an
-    N x N matrix B with ``entries = B B^dag``: the amplitude matrix of a
-    purification of the state, which uhlmann_fidelity uses in place of a
-    square root. thermal_density_matrix supplies both, its entries exact;
-    displaced_thermal_matrix and partial_trace_mode2 supply the factor alone,
-    and ``entries`` is then formed as B B^dag on first access and kept.
-    uhlmann_fidelity checks the Hermiticity of every caller-supplied
-    ``entries``, with or without a factor. B B^dag is Hermitian by
-    construction, so it is neither checked nor formed there, and the exact
-    diagonal entries of thermal_density_matrix are trusted unchecked too.
+    ``factor`` is an N x N matrix B with rho = B B^dag: the amplitude matrix
+    of a purification of the state, which uhlmann_fidelity uses in place of a
+    square root. ``entries``, the density matrix itself, is formed as B B^dag
+    on first access and kept; thermal_density_matrix presets its exact
+    diagonal instead. A caller who holds only rho picks the factor, for
+    example a Cholesky factor or V sqrt(w) from an eigendecomposition with a
+    floor of their choosing.
     """
 
-    def __init__(
-        self, cutoff: int, entries: np.ndarray | None = None,
-        factor: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, cutoff: int, *, factor: np.ndarray) -> None:
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        if entries is None and factor is None:
-            raise ValueError("FockMatrix needs entries or a factor")
+        factor = np.asarray(factor, dtype=complex)
+        if factor.shape != (cutoff, cutoff):
+            raise ValueError(f"factor must be {cutoff}x{cutoff}, got {factor.shape}")
         self.cutoff = cutoff
-        self.factor = None if factor is None else self._square(factor, "factor")
-        # Whether uhlmann_fidelity may skip the Hermiticity scan.
-        self._trusted = entries is None
-        if entries is not None:
-            # An instance attribute shadows the on-demand property below.
-            self.entries = self._square(entries, "entries")
-
-    def _square(self, matrix, name: str) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (self.cutoff, self.cutoff):
-            raise ValueError(
-                f"{name} must be {self.cutoff}x{self.cutoff}, got {matrix.shape}"
-            )
-        return matrix
+        self.factor = factor
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        """The density matrix: as supplied, else B B^dag, formed once when read."""
+        """The density matrix B B^dag, formed once when read."""
         return self.factor @ self.factor.conj().T
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +96,10 @@ def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
 def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
     """Diagonal thermal density operator truncated at ``cutoff`` levels."""
     eta = thermal_spectrum(nbar, cutoff)
-    rho = FockMatrix(cutoff, np.diag(eta), factor=np.diag(np.sqrt(eta)))
-    rho._trusted = True  # a real diagonal is Hermitian
+    rho = FockMatrix(cutoff, factor=np.diag(np.sqrt(eta)))
+    # Exact, where B B^dag would round; the instance attribute shadows the
+    # cached property.
+    rho.entries = np.diag(eta).astype(complex)
     return rho
 
 
@@ -196,23 +169,26 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     return out
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> FockMatrix:
-    """Displacement operator D(alpha) on the truncated basis.
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """Entries of the displacement operator D(alpha) on the truncated basis.
 
     One pass of the Laguerre recurrence, normalized to the matrix entries and
     vectorized over the order k - l, gives the k >= l entries; the k < l
     entries are (-1)^(k-l) conjugates of them,
     <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Every entry is finite at
     any cutoff. Results are memoized per (alpha, cutoff) in a bounded cache of
-    8 matrices, at most 8 * 16 * N^2 bytes, and the entries are shared between
-    callers, so they are read-only. Accuracy of the truncation degrades once
-    |alpha|^2 approaches the cutoff. A non-finite alpha raises ValueError, and
-    one whose |alpha|^2 overflows raises OverflowError. A matrix takes about
-    0.45 ms at N = 80, 2.5 ms at N = 320, 14 ms at N = 1000 and 0.15 s at
-    N = 3000 (best of 5, one OpenBLAS thread, on a 2-vCPU VM).
+    8 matrices, at most 8 * 16 * N^2 bytes, and the array is shared between
+    callers, so it is read-only. Accuracy of the truncation degrades once
+    |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
+    raises ValueError, and an alpha whose |alpha|^2 overflows raises
+    OverflowError. A matrix takes about 0.45 ms at N = 80, 2.5 ms at N = 320,
+    14 ms at N = 1000 and 0.15 s at N = 3000 (best of 5, one OpenBLAS thread,
+    on a 2-vCPU VM).
     """
     alpha = _validate_complex(alpha, "alpha")
-    return FockMatrix(cutoff, _displacement_entries(alpha, cutoff))
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    return _displacement_entries(alpha, cutoff)
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
@@ -225,43 +201,9 @@ def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockM
     """
     if state.displacement == 0:
         return thermal_density_matrix(state.mean_occupancy, cutoff)
-    d = displacement_matrix(state.displacement, cutoff).entries
+    d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
     return FockMatrix(cutoff, factor=d * np.sqrt(eta))
-
-
-#: Relative floor under which eigenvalues of a factor-less input are zeroed.
-#: eigh resolves a rank-deficient input's null space only to absolute
-#: round-off (~1e-16), and the square root would amplify that to ~1e-8.
-EIGENVALUE_FLOOR = 1e-14
-
-
-def _factor(rho: FockMatrix) -> np.ndarray:
-    """A matrix B with rho = B B^dag: the stored factor, else V sqrt(w) from
-    one Hermitian eigendecomposition with negative eigenvalues clipped."""
-    if rho.factor is not None:
-        return rho.factor
-    w, v = np.linalg.eigh(rho.entries)
-    if w[0] < EIGENVALUE_WARN:
-        warnings.warn(
-            f"clipping negative eigenvalue {w[0]:.3e} of a factor-less density matrix",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    w = np.clip(w, 0.0, None)
-    if w[-1] > 0.0:
-        w[w < EIGENVALUE_FLOOR * w[-1]] = 0.0
-    return v * np.sqrt(w)
-
-
-def _validate_density_input(rho: FockMatrix, name: str) -> None:
-    if rho._trusted:
-        return
-    defect = rho.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"{name} is not Hermitian: max |rho - rho^dag| = {defect:.3e}"
-        )
 
 
 def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
@@ -271,22 +213,14 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
     singular values, for any factors rho_i = B_i B_i^dag: B_i = sqrt(rho_i) U_i
     with U_i unitary, and the nuclear norm is unitarily invariant, so it
     equals ||sqrt(rho2) sqrt(rho1)||_*. The factors are the ones the inputs
-    carry, so no square root is taken and round-off enters linearly, and an
-    input stored as its factor alone never has rho = B B^dag formed: the cost
-    is one factor product and one SVD. Caller-supplied entries must be
-    Hermitian to HERMITICITY_TOL, whether or not a factor comes with them;
-    those of thermal_density_matrix are exact and go unchecked. An
-    input built without a factor gets one from a Hermitian eigendecomposition,
-    with negative eigenvalues clipped at zero (a RuntimeWarning below
-    EIGENVALUE_WARN).
+    carry, so no square root is taken and round-off enters linearly, and
+    rho = B B^dag is never formed: the cost is one factor product and one SVD.
     """
     if rho1.cutoff != rho2.cutoff:
         raise ValueError(
             f"cutoff mismatch: {rho1.cutoff} vs {rho2.cutoff}"
         )
-    _validate_density_input(rho1, "rho1")
-    _validate_density_input(rho2, "rho2")
-    cross = _factor(rho2).conj().T @ _factor(rho1)
+    cross = rho2.factor.conj().T @ rho1.factor
     singular_values = np.linalg.svd(cross, compute_uv=False)
     return float(np.sum(singular_values) ** 2)
 
@@ -299,13 +233,11 @@ def schmidt_purification(
     amplitudes[m, n] = sum_k sqrt(eta_k) <m|D(alpha)|k> <n|D(beta)|k>, so the
     mode-1 reduction is the displaced thermal state and the mode-2 reduction
     carries displacement beta at the same occupancy. The norm falls short of
-    one by the truncation tail s^cutoff.
+    one by the truncation tail s^cutoff. The mode-1 factor D(alpha)
+    sqrt(eta) is the one displaced_thermal_matrix stores.
     """
-    sqrt_eta = np.sqrt(thermal_spectrum(state.mean_occupancy, cutoff))
-    d_alpha = displacement_matrix(state.displacement, cutoff).entries
-    d_beta = displacement_matrix(beta, cutoff).entries
-    amplitudes = (d_alpha * sqrt_eta) @ d_beta.T
-    return TwoModeVector(cutoff, amplitudes)
+    rho = displaced_thermal_matrix(state, cutoff)
+    return TwoModeVector(cutoff, rho.factor @ displacement_matrix(beta, cutoff).T)
 
 
 def partial_trace_mode2(vector: TwoModeVector) -> FockMatrix:
@@ -330,7 +262,7 @@ def cf_table(vector: TwoModeVector, lambdas1, lambdas2) -> np.ndarray:
     """
     amp = vector.amplitudes
     d = {
-        lam: displacement_matrix(lam, vector.cutoff).entries
+        lam: displacement_matrix(lam, vector.cutoff)
         for lam in dict.fromkeys([*lambdas1, *lambdas2])
     }
     table = np.empty((len(lambdas1), len(lambdas2)), dtype=complex)

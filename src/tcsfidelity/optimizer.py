@@ -101,20 +101,23 @@ def finite_difference_gradient(
 
 def _maximize_newton(state1, state2, config: OptimizerConfig) -> OptimizationResult:
     beta = complex(config.initial_beta)
-    gradient, curvature = _gradient(state1, state2, beta)
     iterations = 0
-    converged = float(np.linalg.norm(gradient)) <= config.gradient_tol
-    while not converged and iterations < config.max_iters:
+    while True:
+        gradient, curvature = _gradient(state1, state2, beta)
+        # Past about 1.3e154 the squared norm overflows: the norm reads inf,
+        # which rightly fails the test below, so numpy need not warn.
+        with np.errstate(over="ignore"):
+            gradient_norm = float(np.linalg.norm(gradient))
+        converged = gradient_norm <= config.gradient_tol or (
+            iterations > 0 and abs(step) <= 0.1 * config.beta_tol
+        )
+        if converged or iterations == config.max_iters:
+            break
         # The Newton step, exact for the quadratic objective. Divide: tests pin
         # its digits to a linear solve's, which 1 / curvature would not keep.
         step = complex(gradient[0] / curvature, gradient[1] / curvature)
         beta += step
         iterations += 1
-        gradient, _ = _gradient(state1, state2, beta)
-        converged = (
-            float(np.linalg.norm(gradient)) <= config.gradient_tol
-            or abs(step) <= 0.1 * config.beta_tol
-        )
     # Only an overlap far below underflow makes the objective's terms overflow
     # to inf - inf; max reads that NaN as log 0 and leaves any number as it is.
     return OptimizationResult(
@@ -122,7 +125,7 @@ def _maximize_newton(state1, state2, config: OptimizerConfig) -> OptimizationRes
         value=math.exp(max(-math.inf, objective(state1, state2, beta))),
         iterations=iterations,
         converged=converged,
-        gradient_norm=float(np.linalg.norm(gradient)),
+        gradient_norm=gradient_norm,
     )
 
 

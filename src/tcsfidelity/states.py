@@ -42,9 +42,11 @@ def mean_occupancy_from_temperature(
 ) -> float:
     """Mean occupancy of a thermal mode, 1 / (exp(hbar w / k_B T) - 1).
 
-    Accepts either a (temperature, angular_frequency) pair in kelvin and
-    rad/s, or the dimensionless ratio hbar*w / (k_B*T) directly via the
-    ``ratio`` keyword.
+    Units are natural, hbar = k_B = 1: ``temperature`` is k_B T and
+    ``angular_frequency`` is hbar w, both in one energy unit of the caller's
+    choosing, not kelvin and rad/s (T = 1, w = ln 2 gives n = 1). Accepts
+    either that pair or the dimensionless ratio hbar*w / (k_B*T) directly via
+    the ``ratio`` keyword.
     """
     if ratio is None:
         if temperature is None or angular_frequency is None:
@@ -74,9 +76,11 @@ def mean_occupancy_from_temperature(
 class ThermalParams:
     """Thermal occupation of one bosonic mode, optionally tagged with its origin.
 
-    ``temperature`` (kelvin) and ``angular_frequency`` (rad/s) are kept only
-    as provenance when the occupancy was derived from them; the physics below
-    never reads them.
+    ``temperature`` and ``angular_frequency`` are kept only as provenance
+    when the occupancy was derived from them; the physics below never reads
+    them. They are in natural units, hbar = k_B = 1, as
+    mean_occupancy_from_temperature takes them: k_B T and hbar w in one
+    energy unit, not kelvin and rad/s.
     """
 
     mean_occupancy: float
@@ -159,9 +163,6 @@ class PurificationSpec:
     def mode1_state(self) -> DisplacedThermalState:
         return DisplacedThermalState(self.thermal, self.alpha)
 
-    def mode2_state(self) -> DisplacedThermalState:
-        return DisplacedThermalState(self.thermal, self.beta)
-
 
 @dataclass(frozen=True)
 class GaussianForm:
@@ -216,18 +217,12 @@ def weyl_compose(alpha: complex, beta: complex) -> tuple[complex, complex]:
 
 
 def tcs_cf(state: DisplacedThermalState, lam: complex) -> complex:
-    """CF of a displaced thermal state, exp[-(n+1/2)|lam|^2 + lam a* - lam* a].
-
-    Grouped so the displacement part is assembled as an exactly imaginary
-    number first, which makes this bitwise identical to the lambda2 = 0
-    marginal of purification_cf.
+    """CF of a displaced thermal state, exp[-(n+1/2)|lam|^2 + lam a* - lam* a]:
+    the lambda2 = 0 marginal of purification_cf, which evaluates it.
     """
-    n = state.mean_occupancy
-    a = state.displacement
-    lam = complex(lam)
-    quad = -(n + 0.5) * _squared_modulus(lam, "lambda")
-    disp = lam * a.conjugate() - lam.conjugate() * a
-    return cmath.exp(quad + disp)
+    _squared_modulus(complex(lam), "lambda")  # name this argument on overflow
+    spec = PurificationSpec(state.thermal, state.displacement, 0j)
+    return purification_cf(spec, lam, 0j)
 
 
 def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) -> complex:
@@ -242,7 +237,10 @@ def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) 
     l1 = complex(lambda1)
     l2 = complex(lambda2)
     n = spec.thermal.mean_occupancy
-    cross = math.sqrt(n * (n + 1.0)) * 2.0 * (l1 * l2).real
+    # A zero product is kept as it is: past n of about 1.3e154, n (n + 1)
+    # overflows, and inf * 0 would make the marginals NaN.
+    product = (l1 * l2).real
+    cross = math.sqrt(n * (n + 1.0)) * 2.0 * product if product else product
     quad = -(n + 0.5) * (
         _squared_modulus(l1, "lambda1") + _squared_modulus(l2, "lambda2")
     ) + cross

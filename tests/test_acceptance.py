@@ -138,7 +138,7 @@ def test_criterion_4_cf_derivation_chain():
                 make_state(nbar, spec.alpha), spec.beta, CF_CUTOFF
             )
             cached = {
-                lam: displacement_matrix(lam, CF_CUTOFF).entries for lam in lambdas
+                lam: displacement_matrix(lam, CF_CUTOFF) for lam in lambdas
             }
             amp = vector.amplitudes
             for lam1, lam2 in product(lambdas, lambdas):
@@ -197,10 +197,10 @@ def test_criterion_8_displacement_composition():
             assert abs(alpha) <= 1.5 + 1e-12 and abs(beta) <= 1.5 + 1e-12
             phase, total = weyl_compose(alpha, beta)
             left = (
-                displacement_matrix(alpha, CF_CUTOFF).entries
-                @ displacement_matrix(beta, CF_CUTOFF).entries
+                displacement_matrix(alpha, CF_CUTOFF)
+                @ displacement_matrix(beta, CF_CUTOFF)
             )
-            right = phase * displacement_matrix(total, CF_CUTOFF).entries
+            right = phase * displacement_matrix(total, CF_CUTOFF)
             deviation = np.max(np.abs((left - right)[:block, :block]))
             assert deviation <= 1e-7
 

@@ -1,5 +1,6 @@
 """CLI tests: route dispatch, formats, exit codes, and determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from tcsfidelity import closed_form, fock_oracle
+from tcsfidelity import closed_form, fock_oracle, optimizer
 from tcsfidelity.cli import ComplexParam, ExitCodeCommand, format_complex, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -514,6 +515,26 @@ EXIT_CODE_TABLE += [
     (["fidelity", "--alpha2", "1e154,0", "--route", "gaussian-overlap"], 1,
      UNDERFLOW_LINE.format("gaussian_overlap")),
     (["optimize", "--alpha2", "40,0"], 1, UNDERFLOW_LINE.format("purification_optimized")),
+    # The gradient's squared norm overflows on the way, without numpy's warning.
+    (["optimize", "--n1", "1", "--n2", "1", "--alpha2", "1e154,0"], 1,
+     UNDERFLOW_LINE.format("purification_optimized")),
+    (["optimize", "--n1", "1e8", "--n2", "1e8", "--alpha2", "1e152,0"], 1,
+     UNDERFLOW_LINE.format("purification_optimized")),
+]
+# Usage errors of the grid flags, and the cutoff check of the displaced path:
+# state 1 at alpha1 = 0 takes the thermal path, at alpha1 = 1 the displaced one.
+EXIT_CODE_TABLE += [
+    (["sweep", "--n1", "1:2:1"], 2,
+     "Error: Invalid value for '--n1': a single-point grid needs start == stop"),
+    (["sweep", "--n1", "a,b"], 2,
+     "Error: Invalid value for '--n1': 'a,b' is not a comma-separated list of reals"),
+    (["cf-grid", "--oracle-check", "0"], 2, "Error: --oracle-check cutoff must be >= 1"),
+    (["fidelity", "--alpha2", "1,0", "--route", "oracle", "--cutoff", "0"], 2,
+     "Error: cutoff must be >= 1, got 0"),
+    (["fidelity", "--alpha1", "1,0", "--route", "oracle", "--cutoff", "0"], 2,
+     "Error: cutoff must be >= 1, got 0"),
+    (["fidelity", "--alpha1", "1,0", "--route", "oracle", "--cutoff", "-1"], 2,
+     "Error: cutoff must be >= 1, got -1"),
 ]
 
 
@@ -528,6 +549,35 @@ def test_library_failures_follow_the_exit_codes(runner, args, code, last_line):
     assert isinstance(result.exception, SystemExit)
     if code == 2:
         assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+
+
+NOT_CONVERGED_JSON = """{
+  "schema": 1,
+  "route": "purification_optimized",
+  "converged": false,
+  "diagnostics": {
+    "iterations": 1,
+    "gradient_norm": 0.0
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["fidelity", "--n1", "1", "--alpha1", "0.3,-0.2", "--n2", "0.5", "--alpha2", "1.3,0.8",
+     "--all-routes", "--cutoff", "80"],
+    ["sweep", "--n1", "0,1", "--n2", "0.5", "--dalpha", "1,0", "--cutoff", "20"],
+], ids=["fidelity-all-routes", "sweep"])
+def test_comparison_that_did_not_converge_exits_1(runner, monkeypatch, args):
+    maximize_overlap = optimizer.maximize_overlap
+    monkeypatch.setattr(
+        optimizer, "maximize_overlap",
+        lambda *args: dataclasses.replace(maximize_overlap(*args), converged=False),
+    )
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == NOT_CONVERGED_JSON
+    assert result.stderr == "error: optimizer did not converge\n"
 
 
 def test_every_command_maps_library_failures():

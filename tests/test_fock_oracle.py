@@ -168,7 +168,7 @@ def square_root_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
 def eager_displaced_thermal_entries(state, cutoff: int) -> np.ndarray:
     """rho = (d * eta) d^dag, as displaced_thermal_matrix formed it eagerly:
     the reference for the entries it now forms as B B^dag on demand."""
-    d = displacement_matrix(state.displacement, cutoff).entries
+    d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
     return (d * eta) @ d.conj().T
 
@@ -224,28 +224,29 @@ def test_thermal_spectrum_values():
 @pytest.mark.parametrize("alpha", [5.0, -0.7, 3j, -0.4j, 0.3 - 0.2j, -2.7 + 3.1j, 3.5 + 3.5j])
 def test_displacement_equals_scalar_recurrence(alpha, n):
     # The normalized recurrence rounds differently; measured max 7.0e-14.
-    computed = displacement_matrix(alpha, n).entries
+    computed = displacement_matrix(alpha, n)
     assert np.max(np.abs(computed - scalar_displacement(alpha, n))) <= 1e-13
     assert computed.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
 
 
 def test_displacement_entries_are_read_only():
     for alpha in (0j, 0.8 - 0.3j):
-        entries = displacement_matrix(alpha, 12).entries
+        entries = displacement_matrix(alpha, 12)
+        assert type(entries) is np.ndarray
         with pytest.raises(ValueError):
             entries[0, 0] = 2.0
 
 
 def test_displacement_repeated_call_returns_equal_entries():
-    first = displacement_matrix(1.1 + 0.4j, 40).entries
-    second = displacement_matrix(complex(1.1, 0.4), 40).entries
+    first = displacement_matrix(1.1 + 0.4j, 40)
+    second = displacement_matrix(complex(1.1, 0.4), 40)
     assert np.array_equal(first, second)
 
 
 def test_displacement_cutoffs_never_share_entries():
     alpha = 0.9 - 1.3j
     for _ in range(2):
-        matrices = {n: displacement_matrix(alpha, n).entries for n in (9, 10, 11)}
+        matrices = {n: displacement_matrix(alpha, n) for n in (9, 10, 11)}
         for n, entries in matrices.items():
             assert entries.shape == (n, n)
             assert np.max(np.abs(entries - scalar_displacement(alpha, n))) <= 1e-13
@@ -257,8 +258,8 @@ def test_displacement_cutoffs_never_share_entries():
 def test_displacement_low_block_unitarity(alpha, n, bound):
     low = 10
     product = (
-        displacement_matrix(alpha, n).entries[:low]
-        @ displacement_matrix(-alpha, n).entries[:, :low]
+        displacement_matrix(alpha, n)[:low]
+        @ displacement_matrix(-alpha, n)[:, :low]
     )
     assert np.max(np.abs(product - np.eye(low))) <= bound
 
@@ -274,14 +275,14 @@ def test_displacement_is_finite_and_exact_where_bare_laguerre_values_overflow():
     # Bare Laguerre values overflow above N of about 1040 at |alpha| <= 5;
     # the entries themselves stay below 1. Row and column 0 have closed forms.
     alpha, n = 5.0, 1100
-    entries = displacement_matrix(alpha, n).entries
+    entries = displacement_matrix(alpha, n)
     assert np.all(np.isfinite(entries))
     k = np.arange(n)
     log_fact = np.array([math.lgamma(j + 1.0) for j in k])
     column = np.exp(k * math.log(alpha) - alpha**2 / 2 - 0.5 * log_fact)
     assert np.max(np.abs(entries[:, 0] - column)) <= 1e-12
     assert np.max(np.abs(entries[0] - (-1.0) ** k * column)) <= 1e-12
-    low = entries[:10] @ displacement_matrix(-alpha, n).entries[:, :10]
+    low = entries[:10] @ displacement_matrix(-alpha, n)[:, :10]
     assert np.max(np.abs(low - np.eye(10))) <= 1e-12
 
 
@@ -310,7 +311,7 @@ def test_displacement_is_finite_and_exact_where_bare_laguerre_values_overflow():
 def test_displacement_matches_mpmath(alpha, n, bound):
     # 40 seeded entries per case: 20 among those above 1e-3 in modulus, where
     # round-off shows, and 20 anywhere in the matrix.
-    entries = displacement_matrix(alpha, n).entries
+    entries = displacement_matrix(alpha, n)
     assert entries.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
     rng = np.random.default_rng(n)
     large = np.argwhere(np.abs(entries) > 1e-3)
@@ -333,8 +334,8 @@ def test_displacement_properties(radius, angle, n):
     # differ in the last bit above order 100; compute both matrices afresh.
     fock_oracle._displacement_entries.cache_clear()
     alpha = radius * cmath.exp(1j * angle)
-    entries = displacement_matrix(alpha, n).entries
-    negated = displacement_matrix(-alpha, n).entries
+    entries = displacement_matrix(alpha, n)
+    negated = displacement_matrix(-alpha, n)
     assert entries.tobytes() == parent_displacement_entries(alpha, n).tobytes()
     assert np.all(np.isfinite(entries))
     assert np.max(np.abs(entries)) <= 1 + 1e-12
@@ -347,27 +348,27 @@ def test_displacement_properties(radius, angle, n):
 def test_displacement_vacuum_matrix_element():
     for beta in (0.5, 1j, 1.2 - 0.8j):
         d = displacement_matrix(beta, 30)
-        assert d.entries[0, 0] == pytest.approx(
+        assert d[0, 0] == pytest.approx(
             math.exp(-abs(beta) ** 2 / 2), rel=1e-15
         )
 
 
 def test_displacement_of_zero_is_identity():
     d = displacement_matrix(0j, 25)
-    assert np.array_equal(d.entries, np.eye(25, dtype=complex))
+    assert np.array_equal(d, np.eye(25, dtype=complex))
 
 
 @pytest.mark.parametrize("alpha", [0.5 + 0.3j, -1.2 + 0.8j, 2.0 - 1.5j, 0.1j])
 def test_displacement_matches_analytic_formula(alpha):
-    computed = displacement_matrix(alpha, 60).entries
+    computed = displacement_matrix(alpha, 60)
     reference = displacement_reference(alpha, 60)
     assert np.max(np.abs(computed - reference)) < 1e-12
 
 
 def test_displacement_adjoint_is_negated_argument():
     for alpha in (0.7, 1 - 1j, -0.4 + 2j):
-        d = displacement_matrix(alpha, 40).entries
-        d_neg = displacement_matrix(-alpha, 40).entries
+        d = displacement_matrix(alpha, 40)
+        d_neg = displacement_matrix(-alpha, 40)
         assert np.array_equal(d.conj().T, d_neg)
 
 
@@ -377,10 +378,10 @@ def test_displacement_truncated_unitarity():
     # third of the basis for the same accuracy.
     n = 60
     for alpha in (0.5, 1.0, 1.2j, 1.5, 1.06 + 1.06j):
-        product = displacement_matrix(alpha, n).entries @ displacement_matrix(-alpha, n).entries
+        product = displacement_matrix(alpha, n) @ displacement_matrix(-alpha, n)
         deviation = np.max(np.abs((product - np.eye(n))[: n // 2, : n // 2]))
         assert deviation < 1e-8
-    product = displacement_matrix(2.0, n).entries @ displacement_matrix(-2.0, n).entries
+    product = displacement_matrix(2.0, n) @ displacement_matrix(-2.0, n)
     assert np.max(np.abs((product - np.eye(n))[:20, :20])) < 1e-8
 
 
@@ -396,8 +397,8 @@ def test_displacement_composition_law():
     ]
     for alpha, beta in pairs:
         phase, total = weyl_compose(alpha, beta)
-        left = displacement_matrix(alpha, n).entries @ displacement_matrix(beta, n).entries
-        right = phase * displacement_matrix(total, n).entries
+        left = displacement_matrix(alpha, n) @ displacement_matrix(beta, n)
+        right = phase * displacement_matrix(total, n)
         deviation = np.max(np.abs((left - right)[:block, :block]))
         assert deviation < 1e-7
 
@@ -474,30 +475,6 @@ def test_uhlmann_pure_state_reduces_to_trace_product():
     assert abs(uhlmann_fidelity(rho1, rho2) - trace_product) < 1e-10
 
 
-def test_uhlmann_rejects_non_hermitian():
-    bad = np.zeros((10, 10), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        uhlmann_fidelity(FockMatrix(10, bad), thermal_density_matrix(0.0, 10))
-    with pytest.raises(ValueError, match="rho2 is not Hermitian"):
-        uhlmann_fidelity(
-            thermal_density_matrix(0.0, 10), FockMatrix(10, bad, factor=np.eye(10))
-        )
-
-
-def test_uhlmann_trusts_constructed_thermal_entries(monkeypatch):
-    # thermal_density_matrix's exact diagonal needs no Hermiticity scan.
-    def refuse(self):
-        raise AssertionError("uhlmann_fidelity scanned constructor-made entries")
-
-    monkeypatch.setattr(FockMatrix, "hermiticity_defect", refuse)
-    thermal = thermal_density_matrix(0.5, 40)
-    undisplaced = displaced_thermal_matrix(make_state(1.0, 0j), 40)
-    displaced = displaced_thermal_matrix(make_state(0.5, 1.3 + 0.8j), 40)
-    assert 0.0 < uhlmann_fidelity(thermal, displaced) < 1.0
-    assert 0.0 < uhlmann_fidelity(displaced, undisplaced) < 1.0
-
-
 def test_uhlmann_rejects_cutoff_mismatch():
     with pytest.raises(ValueError):
         uhlmann_fidelity(
@@ -509,32 +486,12 @@ def test_uhlmann_rejects_cutoff_mismatch():
 def test_uhlmann_matches_square_root_reference(cutoff):
     # 34 seeded pairs per cutoff, 102 in all. The factored form keeps the
     # eigenvalues the reference zeroes below 1e-14 of the largest, which is
-    # worth up to ~1e-8; a factor-less input takes the reference's own path.
+    # worth up to ~1e-8.
     for state1, state2 in random_state_pairs([cutoff], 34):
         rho1 = displaced_thermal_matrix(state1, cutoff)
         rho2 = displaced_thermal_matrix(state2, cutoff)
         reference = square_root_fidelity(rho1, rho2)
         assert abs(uhlmann_fidelity(rho1, rho2) - reference) <= 1e-8
-        factor_less = uhlmann_fidelity(
-            FockMatrix(cutoff, rho1.entries), FockMatrix(cutoff, rho2.entries)
-        )
-        assert abs(factor_less - reference) <= 1e-12
-
-
-@pytest.mark.parametrize("pair,cutoff", [
-    (((1.0, 0.3 - 0.2j), (0.5, 1.3 + 0.8j)), 80),
-    (((0.0, 0j), (0.0, 1 + 0j)), 40),
-    (((1.0, 0j), (0.0, 0j)), 80),
-    (((0.0, 0.8 - 0.2j), (1.2, 0.1 + 0.4j)), 50),
-    (((0.5, 0j), (0.5, 1 + 1j)), 60),
-])
-def test_uhlmann_factor_less_input_matches_factored(pair, cutoff):
-    rho1, rho2 = (displaced_thermal_matrix(make_state(*p), cutoff) for p in pair)
-    factored = uhlmann_fidelity(rho1, rho2)
-    factor_less = uhlmann_fidelity(
-        FockMatrix(cutoff, rho1.entries), FockMatrix(cutoff, rho2.entries)
-    )
-    assert abs(factor_less - factored) <= 1e-10
 
 
 def test_constructors_factor_their_density_matrices():
@@ -593,13 +550,6 @@ def test_oracle_forms_no_density_product(monkeypatch):
         assert "entries" not in vars(rho)
 
 
-def test_uhlmann_factor_less_clipping_warns():
-    entries = np.diag([0.6, 0.4 + 1e-9, -1e-9]).astype(complex)
-    with pytest.warns(RuntimeWarning, match="clipping negative eigenvalue"):
-        value = uhlmann_fidelity(FockMatrix(3, entries), thermal_density_matrix(0.0, 3))
-    assert value == pytest.approx(0.6, rel=1e-12)
-
-
 def test_uhlmann_converges_in_cutoff():
     cases = [
         (make_state(1.0, 0.5 + 0.5j), make_state(2.0, -1 + 0.3j)),
@@ -623,6 +573,20 @@ def test_uhlmann_converges_in_cutoff():
 # ---------------------------------------------------------------------------
 # Schmidt purification, partial trace, two-mode CF
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0j, 0.6 - 1.1j])
+def test_purification_amplitudes_are_the_displaced_thermal_factor(alpha):
+    # D(alpha) sqrt(eta) D(beta)^T, formed from the matrices directly: at
+    # alpha = 0 the thermal factor diag(sqrt(eta)) equals D(0) sqrt(eta) bit
+    # for bit.
+    state, beta, cutoff = make_state(0.8, alpha), 0.2 + 0.5j, 30
+    sqrt_eta = np.sqrt(thermal_spectrum(state.mean_occupancy, cutoff))
+    expected = (displacement_matrix(alpha, cutoff) * sqrt_eta) @ displacement_matrix(
+        beta, cutoff
+    ).T
+    vector = schmidt_purification(state, beta, cutoff)
+    assert vector.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_purification_of_vacuum():
@@ -720,8 +684,8 @@ def test_cf_table_equals_pointwise_expression():
     amp = vector.amplitudes
     for i, lam1 in enumerate(lambdas1):
         for j, lam2 in enumerate(lambdas2):
-            d1 = displacement_matrix(lam1, 24).entries
-            d2 = displacement_matrix(lam2, 24).entries
+            d1 = displacement_matrix(lam1, 24)
+            d2 = displacement_matrix(lam2, 24)
             assert table[i, j] == np.vdot(amp, d1 @ amp @ d2.T)
             assert cf_of_two_mode_vector(vector, lam1, lam2) == table[i, j]
 
@@ -742,17 +706,25 @@ def test_two_mode_cf_matches_closed_form():
 
 
 def test_fock_matrix_validation():
-    with pytest.raises(ValueError):
-        FockMatrix(0, np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        FockMatrix(3, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="factor"):
-        FockMatrix(3, np.zeros((3, 3)), factor=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="entries or a factor"):
+    with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
+        FockMatrix(0, factor=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^factor must be 3x3, got \(2, 2\)$"):
+        FockMatrix(3, factor=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^factor must be 3x3, got \(3, 2\)$"):
+        FockMatrix(3, factor=np.zeros((3, 2)))
+    # The factor is keyword-only and required: a density matrix passed
+    # positionally must not be taken for its factor.
+    with pytest.raises(TypeError):
+        FockMatrix(3, np.eye(3))
+    with pytest.raises(TypeError):
         FockMatrix(3)
     for alpha in (complex(math.nan, 0), complex(0, math.inf)):
         with pytest.raises(ValueError, match="alpha must be finite"):
             displacement_matrix(alpha, 5)
+    for alpha in (0j, 0.5 - 1j):
+        for cutoff in (0, -1):
+            with pytest.raises(ValueError, match=rf"^cutoff must be >= 1, got {cutoff}$"):
+                displacement_matrix(alpha, cutoff)
 
 
 def test_two_mode_vector_validation():

@@ -149,8 +149,6 @@ def test_value_never_below_starting_point():
     assert math.log(result.value) >= objective(s1, s2, 3 + 3j)
 
 
-# The gradient's norm overflows on the way, and numpy warns of that.
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_value_underflows_where_the_objective_overflows():
     # At the optimum the objective's terms overflow to inf - inf; the overlap
     # itself is far below underflow.

@@ -166,6 +166,18 @@ def test_tcs_cf_equals_purification_marginal():
         assert purification_cf(spec, lam, 0j) == tcs_cf(state, lam)
 
 
+def test_cf_marginals_stay_finite_where_the_cross_coefficient_overflows():
+    # Past n of about 1.3e154, n (n + 1) overflows; a zero cross term must not
+    # become inf * 0 = NaN. |1e-170|^2 underflows to 0, so the value is finite.
+    state = make_state(1e200, 0.5j)
+    spec = make_spec(1e200, 0.5j, 1 + 1j)
+    assert tcs_cf(state, 0j) == purification_cf(spec, 0j, 0j) == 1.0
+    for lam in (1e-170, 1e-170j):
+        value = tcs_cf(state, lam)
+        assert cmath.isfinite(value)
+        assert purification_cf(spec, lam, 0j) == value
+
+
 # ---------------------------------------------------------------------------
 # two-mode CF against the literal double summation
 # ---------------------------------------------------------------------------
