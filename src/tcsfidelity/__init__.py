@@ -23,6 +23,7 @@ from .fock_oracle import (
     FockMatrix,
     TwoModeVector,
     cf_of_two_mode_vector,
+    displaced_thermal_fidelity,
     displaced_thermal_matrix,
     displacement_matrix,
     partial_trace_mode2,
@@ -81,6 +82,7 @@ __all__ = [
     "cf_phase_space_vector",
     "compare",
     "compute_route",
+    "displaced_thermal_fidelity",
     "displaced_thermal_matrix",
     "displacement_matrix",
     "gaussian_form_cf",

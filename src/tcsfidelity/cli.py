@@ -99,12 +99,23 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r},{z.imag!r}"
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout, or sys.stderr if ``err``.
+
+    Naming the stream skips click's default-stream cache. That cache is keyed
+    weakly on the stream, but its value is the stream itself, so an entry
+    never dies; under click's test runner every call brings fresh streams, and
+    every in-process call would leak one.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    _echo(json.dumps(payload, indent=2))
 
 
 def _fail(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(1)
 
 
@@ -117,7 +128,7 @@ def _check_tolerance(ctx, param, value: float | None) -> float | None:
 
 def _resolve_occupancy(n: float | None, ratio: float | None, label: str) -> float:
     if n is not None and ratio is not None:
-        click.echo(
+        _echo(
             f"warning: both --{label} and its --temp-ratio flag given; using --{label}",
             err=True,
         )
@@ -261,12 +272,12 @@ def fidelity(
 
 
 def _echo_report_csv(reports: list[dict]) -> None:
-    click.echo("route,fidelity,bures_distance,beta_star,cutoff")
+    _echo("route,fidelity,bures_distance,beta_star,cutoff")
     for report in reports:
         beta = report.get("beta_star")
         beta_field = f'"{beta}"' if beta is not None else ""
         cut = report.get("cutoff", "")
-        click.echo(
+        _echo(
             f"{report['route']},{report['fidelity']!r},"
             f"{report['bures_distance']!r},{beta_field},{cut}"
         )
@@ -338,7 +349,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
     if oracle_check is not None:
         header += ",re_chi_oracle,im_chi_oracle"
-    click.echo(header)
+    _echo(header)
     worst = 0.0
     for i, l1 in enumerate(lambdas1):
         for j, l2 in enumerate(lambdas2):
@@ -351,9 +362,9 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
                 chi_oracle = complex(oracle[i, j])
                 worst = max(worst, abs(chi - chi_oracle))
                 row += f",{chi_oracle.real!r},{chi_oracle.imag!r}"
-            click.echo(row)
+            _echo(row)
     if oracle_check is not None:
-        click.echo(f"# max_abs_deviation={worst!r}")
+        _echo(f"# max_abs_deviation={worst!r}")
         if tol is not None and worst > tol:
             _fail(f"CF deviation {worst!r} > {tol!r}")
 
@@ -414,10 +425,10 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     if emit_json:
         _emit_json({"schema": SCHEMA_VERSION, "rows": rows})
         return
-    click.echo(",".join(rows[0]))
+    _echo(",".join(rows[0]))
     for row in rows:
         # str of a float is its shortest round-trip repr
-        click.echo(",".join(map(str, row.values())))
+        _echo(",".join(map(str, row.values())))
 
 
 @main.command()

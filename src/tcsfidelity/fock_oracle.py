@@ -12,7 +12,9 @@ matrix B, and the maximum over all purifications is the squared nuclear norm
 ||B2^dag B1||_*^2. A FockMatrix is held as such a factor, so rho itself is
 formed as B B^dag only when its entries are read. The fidelity therefore
 costs one factor product and one singular-value decomposition, with no density
-product, no matrix square root and no eigenvalue clipping.
+product, no matrix square root and no eigenvalue clipping. For two displaced
+thermal states, displaced_thermal_fidelity works in the frame of the first,
+where the cross matrix is real and needs no product at all.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -222,6 +224,34 @@ def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
         )
     cross = rho2.factor.conj().T @ rho1.factor
     singular_values = np.linalg.svd(cross, compute_uv=False)
+    return float(np.sum(singular_values) ** 2)
+
+
+def displaced_thermal_fidelity(
+    state1: DisplacedThermalState, state2: DisplacedThermalState, cutoff: int
+) -> float:
+    """Fidelity of two displaced thermal states on the basis truncated at
+    ``cutoff``, computed in the frame of state 1.
+
+    The fidelity is invariant under a unitary applied to both states (Jozsa,
+    J. Mod. Opt. 41, 2315, 1994). D(-alpha1) undisplaces state 1, and a phase
+    rotation, which leaves thermal states alone, turns alpha2 - alpha1 into
+    delta = |alpha2 - alpha1|. State 1's factor is then diag(sqrt(eta1)) and
+    state 2's is D(delta) sqrt(eta2), so uhlmann_fidelity's cross matrix is
+    the adjoint of sqrt(eta1) D(delta) sqrt(eta2), formed by two scalings.
+    D(delta) is real at real delta >= 0: every phase is +1 or -1 in its real
+    part, so the real part of the memoized matrix holds each entry exactly.
+    The cost is one displacement matrix and one real SVD, with no N^3
+    product, and the truncation depends on |alpha2 - alpha1| alone. An
+    |alpha2 - alpha1|^2 that overflows raises OverflowError naming it, and a
+    cutoff below 1 raises ValueError.
+    """
+    delta = state2.displacement - state1.displacement
+    _squared_modulus(delta, "alpha2 - alpha1")
+    d = displacement_matrix(abs(delta), cutoff).real
+    root1 = np.sqrt(thermal_spectrum(state1.mean_occupancy, cutoff))
+    root2 = np.sqrt(thermal_spectrum(state2.mean_occupancy, cutoff))
+    singular_values = np.linalg.svd(root1[:, None] * d * root2, compute_uv=False)
     return float(np.sum(singular_values) ** 2)
 
 

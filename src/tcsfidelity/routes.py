@@ -2,9 +2,9 @@
 
 Every route maps two displaced thermal states to the Uhlmann fidelity, so
 running them side by side cross-checks the library. Each layer is called
-through its module attribute (``fock_oracle.uhlmann_fidelity``, not a name
-imported from it), so that rebinding the attribute, as a tracer or a test
-does, is seen by every route.
+through its module attribute (``fock_oracle.displaced_thermal_fidelity``,
+not a name imported from it), so that rebinding the attribute, as a tracer
+or a test does, is seen by every route.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ def _closed_form(state1, state2, cutoff, config) -> RouteResult:
 
 
 def _oracle(state1, state2, cutoff, config) -> RouteResult:
-    rho1 = fock_oracle.displaced_thermal_matrix(state1, cutoff)
-    rho2 = fock_oracle.displaced_thermal_matrix(state2, cutoff)
+    # First, so that the cutoff is checked before s**cutoff could divide by 0.
+    fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}
-    fidelity = fock_oracle.uhlmann_fidelity(rho1, rho2)
     return RouteResult("oracle", fidelity, cutoff=cutoff, diagnostics=tails)
 
 

@@ -21,6 +21,7 @@ from tcsfidelity.fock_oracle import (
     TwoModeVector,
     cf_of_two_mode_vector,
     cf_table,
+    displaced_thermal_fidelity,
     displaced_thermal_matrix,
     displacement_matrix,
     partial_trace_mode2,
@@ -532,22 +533,76 @@ def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
 
 def test_oracle_forms_no_density_product(monkeypatch):
     # A factor-only FockMatrix memoizes B B^dag in its instance dict once
-    # ``entries`` is read; the oracle must never read it.
-    built = []
-
-    def recording(state, cutoff):
-        built.append(displaced_thermal_matrix(state, cutoff))
-        return built[-1]
-
-    monkeypatch.setattr(fock_oracle, "displaced_thermal_matrix", recording)
+    # ``entries`` is read; uhlmann_fidelity must never read it.
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
     rho1, rho2 = displaced_thermal_matrix(state1, 40), displaced_thermal_matrix(state2, 40)
     assert 0.0 < uhlmann_fidelity(rho1, rho2) < 1.0
+    for rho in (rho1, rho2):
+        assert "entries" not in vars(rho)
+
+    # The route, in the frame of state 1, builds no FockMatrix at all: it
+    # takes one displacement matrix, at the real |alpha2 - alpha1|.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle route built a FockMatrix")
+
+    arguments = []
+
+    def recording(alpha, cutoff):
+        arguments.append(alpha)
+        return displacement_matrix(alpha, cutoff)
+
+    monkeypatch.setattr(fock_oracle, "FockMatrix", refuse)
+    monkeypatch.setattr(fock_oracle, "displacement_matrix", recording)
     # The golden ``fidelity --all-routes`` pair.
     assert 0.0 < routes.compute_route("oracle", state1, state2, 80).fidelity < 1.0
-    assert len(built) == 2
-    for rho in (rho1, rho2, *built):
-        assert "entries" not in vars(rho)
+    assert arguments == [abs(1.0 + 1.0j)]
+
+
+def test_oracle_at_large_common_displacement_meets_closed_form():
+    # In the frame of state 1 the truncation sees |alpha2 - alpha1| = 0.5
+    # only; with both displacements near 8.5 on an N = 80 basis the states
+    # themselves are far from truncated, and the old two-matrix route was
+    # 0.49 off here.
+    state1, state2 = make_state(0.5, 8.5), make_state(1.0, 8.8 + 0.4j)
+    oracle = routes.compute_route("oracle", state1, state2, 80).fidelity
+    assert abs(oracle - tcs_fidelity(state1, state2).value) <= 1e-14
+
+
+def test_oracle_frame_matches_uhlmann_of_the_undisplaced_pair():
+    # The frame's fidelity is uhlmann_fidelity of state 1 undisplaced and
+    # state 2 at the real |alpha2 - alpha1|, within round-off.
+    state1, state2 = make_state(0.7, -0.4 + 2.0j), make_state(1.8, 0.2 + 1.2j)
+    delta = abs(state2.displacement - state1.displacement)
+    direct = uhlmann_fidelity(
+        thermal_density_matrix(0.7, 60), displaced_thermal_matrix(make_state(1.8, delta), 60)
+    )
+    assert abs(displaced_thermal_fidelity(state1, state2, 60) - direct) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.floats(0.0, 2.0),
+    n2=st.floats(0.0, 2.0),
+    alpha1=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2 * math.pi)),
+    dalpha=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi)),
+    shift=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2 * math.pi)),
+    angle=st.floats(0.0, 2 * math.pi),
+)
+def test_oracle_meets_closed_form_and_is_invariant(n1, n2, alpha1, dalpha, shift, angle):
+    alpha1, dalpha, shift = (cmath.rect(*polar) for polar in (alpha1, dalpha, shift))
+
+    def oracle(a1, a2):
+        return displaced_thermal_fidelity(make_state(n1, a1), make_state(n2, a2), 80)
+
+    value = oracle(alpha1, alpha1 + dalpha)
+    closed = tcs_fidelity(make_state(n1, alpha1), make_state(n2, alpha1 + dalpha)).value
+    # The truncation at N = 80 alone is 1.7e-12 at n1 = n2 = 2, |dalpha| = 2,
+    # the corner of this domain, and 1e-15 there at N = 100.
+    assert abs(value - closed) <= 1e-11
+    # Common displacements and phases move the difference by round-off only.
+    phase = cmath.exp(1j * angle)
+    assert abs(oracle(alpha1 + shift, alpha1 + dalpha + shift) - value) <= 1e-14
+    assert abs(oracle(alpha1 * phase, (alpha1 + dalpha) * phase) - value) <= 1e-14
 
 
 def test_uhlmann_converges_in_cutoff():

@@ -39,7 +39,9 @@ def test_compute_route_matches_golden_bit_for_bit(golden):
 
 
 def test_compute_route_calls_layers_through_module_attributes(monkeypatch):
-    monkeypatch.setattr(fock_oracle, "uhlmann_fidelity", lambda rho1, rho2: 0.25)
+    monkeypatch.setattr(
+        fock_oracle, "displaced_thermal_fidelity", lambda state1, state2, cutoff: 0.25
+    )
     assert compute_route("oracle", STATE1, STATE2, 8).fidelity == 0.25
 
 
