@@ -114,11 +114,15 @@ def _validate_complex(value: complex, name: str) -> complex:
 
 
 def _squared_modulus(z: complex, name: str) -> float:
-    """|z|^2, or an OverflowError that names z when it is out of range."""
+    """|z|^2, or an OverflowError that names z when it is out of range,
+    including a z that is already infinite."""
     try:
-        return abs(z) ** 2
+        square = abs(z) ** 2
     except OverflowError:
-        raise OverflowError(f"|{name}|^2 overflows for {name}={z!r}") from None
+        square = math.inf
+    if square == math.inf:
+        raise OverflowError(f"|{name}|^2 overflows for {name}={z!r}")
+    return square
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,20 @@ EXIT_CODE_TABLE += [
     (["fidelity", "--route", "oracle", "--cutoff", "-1"], 2,
      "Error: cutoff must be >= 1, got -1"),
 ]
+# Finite displacements whose difference is infinite: every route names the
+# difference and exits 1, as when only its square overflows.
+INFINITE_DIFFERENCE = ["fidelity", "--alpha1=-1e308,0", "--alpha2", "1e308,0"]
+INFINITE_LINE = "error: |alpha2 - alpha1|^2 overflows for alpha2 - alpha1=(inf+0j)"
+EXIT_CODE_TABLE += [
+    ([*INFINITE_DIFFERENCE, *route], 1, INFINITE_LINE)
+    for route in (
+        ["--route", "closed-form"],
+        ["--route", "oracle"],
+        ["--route", "purification-optimized"],
+        ["--route", "gaussian-overlap"],
+        ["--all-routes"],
+    )
+]
 
 
 @pytest.mark.parametrize("args, code, last_line", EXIT_CODE_TABLE,
