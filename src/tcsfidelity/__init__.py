@@ -27,7 +27,6 @@ from .fock_oracle import (
     displaced_thermal_matrix,
     displacement_matrix,
     partial_trace_mode2,
-    real_displacement_matrix,
     schmidt_purification,
     thermal_density_matrix,
     thermal_spectrum,
@@ -98,7 +97,6 @@ __all__ = [
     "pure_overlap",
     "purification_cf",
     "purification_gaussian_form",
-    "real_displacement_matrix",
     "schmidt_purification",
     "tcs_cf",
     "tcs_fidelity",

@@ -115,13 +115,6 @@ def _toeplitz(base: np.ndarray, n: int) -> np.ndarray:
     return np.ndarray((n, n), base.dtype, base, (n - 1) * step, (-step, step))
 
 
-def _phases(unit: complex, n: int) -> np.ndarray:
-    """Toeplitz base of the phases of D(alpha), unit = alpha / |alpha|: entry
-    (k, l) carries unit^(k-l) for k >= l and (-conj(unit))^(l-k) above."""
-    order = np.arange(n)
-    return np.concatenate([(unit**order)[::-1], ((-unit.conjugate()) ** order)[1:]])
-
-
 @functools.lru_cache(maxsize=1)
 def _recurrence_constants(n: int) -> tuple:
     """What the entry recurrence needs at cutoff ``n`` whatever alpha is,
@@ -130,9 +123,8 @@ def _recurrence_constants(n: int) -> tuple:
     Returns the orders, half the log-factorials, the ramp 0, 1, ..., 2n - 1,
     the divisors sqrt((l+1)(l+o+1)) of each step l (views of one packed
     buffer of n (n - 1) / 2 floats), the scales sqrt(l (l+o)) of each step
-    l >= 1 (prefixes of the step before's divisors), the below-diagonal mask
-    of one mirror block, and the real and zero-signed imaginary parts of the
-    phases of D(delta) at real delta > 0 as Toeplitz views.
+    l >= 1 (prefixes of the step before's divisors) and the below-diagonal
+    mask of one mirror block.
     """
     order = np.arange(n)
     half_log_fact = 0.5 * np.array([math.lgamma(o + 1.0) for o in range(n)])
@@ -146,10 +138,7 @@ def _recurrence_constants(n: int) -> tuple:
         start += n - 1 - l
     scales = [row[:-1] for row in divisors[:-1]]
     below = np.tri(n, min(n, _MIRROR_BLOCK), -1, dtype=bool)
-    phases = _phases(complex(1.0, 0.0), n)
-    signs = _toeplitz(np.ascontiguousarray(phases.real), n)
-    zeros = _toeplitz(phases.imag * 0.0, n)
-    return order, half_log_fact, ramp, divisors, scales, below, signs, zeros
+    return order, half_log_fact, ramp, divisors, scales, below
 
 
 def _fill_entries(x: float, radius: float, entries: np.ndarray) -> None:
@@ -162,7 +151,7 @@ def _fill_entries(x: float, radius: float, entries: np.ndarray) -> None:
     l - 1. The lower triangle is then mirrored in square blocks.
     """
     n = len(entries)
-    order, half_log_fact, ramp, divisors, scales, below, _, _ = _recurrence_constants(n)
+    order, half_log_fact, ramp, divisors, scales, below = _recurrence_constants(n)
     here = entries[0]
     np.exp(order * math.log(radius) - 0.5 * x - half_log_fact, here)
     # Whole numbers, exact as floats: 2l + o + 1 is a slice of the ramp.
@@ -218,32 +207,12 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
         # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
         unit = complex(alpha.real / radius, alpha.imag / radius)
         _fill_entries(x, radius, out.real)
-        # The phases must be the first factor: the product E * phase signs
-        # some zero imaginary parts differently.
-        np.multiply(_toeplitz(_phases(unit, n), n), out, out)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _real_displacement_entries(delta: float, n: int) -> np.ndarray:
-    """Read-only D(delta) at real delta >= 0, truncated at ``n``, memoized
-    per (delta, n): the real part of _displacement_entries(delta, n), bit for
-    bit, with no complex matrix formed.
-
-    At unit = 1 every phase is +1 or -1 in its real part, so the real part of
-    phase * E is that sign times E, less the imaginary part times +0.0. That
-    last term is a signed zero, and it decides the sign of the entries that
-    underflow to zero, so it is subtracted too.
-    """
-    if delta == 0:
-        out = np.eye(n)
-    else:
-        out = np.empty((n, n))
-        _fill_entries(_squared_modulus(delta, "delta"), delta, out)
-        *_, signs, zeros = _recurrence_constants(n)
-        np.multiply(signs, out, out)
-        np.subtract(out, zeros, out)
+        # The phase of entry (k, l) is phases[n - 1 - k + l]: unit^(k-l) for
+        # k >= l and (-conj(unit))^(l-k) above. It must be the first factor:
+        # the product E * phase signs some zero imaginary parts differently.
+        order = np.arange(n)
+        phases = np.concatenate([(unit**order)[::-1], ((-unit.conjugate()) ** order)[1:]])
+        np.multiply(_toeplitz(phases, n), out, out)
     out.flags.writeable = False
     return out
 
@@ -256,41 +225,21 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     entries are (-1)^(k-l) conjugates of them,
     <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Every entry is finite at
     any cutoff. Results are memoized per (alpha, cutoff) in a bounded cache of
-    8 matrices, and the array is shared between callers, so it is read-only.
-    With real_displacement_matrix's cache of 8 real matrices the memo holds
-    at most 8 * 16 * N^2 + 8 * 8 * N^2 bytes, plus the divisors of the most
-    recent cutoff, about 4 * N^2 bytes. Accuracy of the truncation degrades
-    once |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff
-    below 1 raises ValueError, and an alpha whose |alpha|^2 overflows raises
-    OverflowError. A matrix takes about 0.21 ms at N = 80, 1.3 ms at N = 320,
-    8.6 ms at N = 1000 and 0.10 s at N = 3000 (best of 5, one OpenBLAS
-    thread, on a 2-vCPU VM), and the first one at a new cutoff also builds
-    its divisors: 0.16 ms at N = 80, 22 ms at N = 3000.
+    8 matrices, at most 8 * 16 * N^2 bytes, plus the divisors of the most
+    recent cutoff, about 4 * N^2 bytes, and the array is shared between
+    callers, so it is read-only. Accuracy of the truncation degrades once
+    |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
+    raises ValueError, and an alpha whose |alpha|^2 overflows raises
+    OverflowError. A matrix takes 0.21-0.35 ms at N = 80, 1.3-2.3 ms at
+    N = 320, 8.6-12 ms at N = 1000 and 0.10-0.13 s at N = 3000 (best of 5,
+    one OpenBLAS thread, on a 2-vCPU VM whose speed varied between runs),
+    and the first one at a new cutoff also builds its divisors: 0.16 ms at
+    N = 80, 22 ms at N = 3000.
     """
     alpha = _validate_complex(alpha, "alpha")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     return _displacement_entries(alpha, cutoff)
-
-
-def real_displacement_matrix(delta: float, cutoff: int) -> np.ndarray:
-    """D(delta) at a real delta >= 0 on the truncated basis, as float64.
-
-    The same recurrence as displacement_matrix, whose real part it equals
-    bit for bit; D(delta) is real, so no complex matrix is formed. Results are
-    memoized per (delta, cutoff) in a bounded cache of 8 matrices, at most
-    8 * 8 * N^2 bytes, and the array is shared, so it is read-only. A
-    negative or non-finite delta, or a cutoff below 1, raises ValueError,
-    and a delta whose square overflows raises OverflowError. A matrix takes
-    about 0.19 ms at N = 80, 0.95 ms at N = 320, 6.0 ms at N = 1000 and
-    66 ms at N = 3000 (best of 5, one OpenBLAS thread, on a 2-vCPU VM).
-    """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    return _real_displacement_entries(delta, cutoff)
 
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
@@ -339,15 +288,16 @@ def displaced_thermal_fidelity(
     delta = |alpha2 - alpha1|. State 1's factor is then diag(sqrt(eta1)) and
     state 2's is D(delta) sqrt(eta2), so uhlmann_fidelity's cross matrix is
     the adjoint of sqrt(eta1) D(delta) sqrt(eta2), formed by two scalings.
-    D(delta) is real at real delta >= 0, and real_displacement_matrix builds
-    it as a real array. The cost is one displacement matrix and one real SVD, with no N^3
+    D(delta) is real at real delta >= 0: every phase is +1 or -1 in its real
+    part, so the real part of the memoized matrix holds each entry exactly.
+    The cost is one displacement matrix and one real SVD, with no N^3
     product, and the truncation depends on |alpha2 - alpha1| alone. An
     |alpha2 - alpha1|^2 that overflows raises OverflowError naming it, and a
     cutoff below 1 raises ValueError.
     """
     delta = state2.displacement - state1.displacement
     _squared_modulus(delta, "alpha2 - alpha1")
-    d = real_displacement_matrix(abs(delta), cutoff)
+    d = displacement_matrix(abs(delta), cutoff).real
     root1 = np.sqrt(thermal_spectrum(state1.mean_occupancy, cutoff))
     root2 = np.sqrt(thermal_spectrum(state2.mean_occupancy, cutoff))
     singular_values = np.linalg.svd(root1[:, None] * d * root2, compute_uv=False)
