@@ -43,7 +43,6 @@ from .routes import ROUTES, RouteResult, compare, compute_route
 from .states import (
     BOLTZMANN_K,
     HBAR,
-    PURE_COVARIANCE_DET,
     DisplacedThermalState,
     GaussianForm,
     PurificationSpec,
@@ -64,7 +63,6 @@ __all__ = [
     "DEFAULT_CUTOFF",
     "HBAR",
     "MAX_OCCUPANCY",
-    "PURE_COVARIANCE_DET",
     "ROUTES",
     "DisplacedThermalState",
     "FidelityValue",

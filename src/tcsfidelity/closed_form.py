@@ -81,7 +81,7 @@ def tcs_fidelity(
         -_squared_modulus(diff, "alpha2 - alpha1") / (n1 + n2 + 1.0)
     )
     if value == 0.0:
-        raise ValueError(
+        raise ArithmeticError(
             f"fidelity underflows double precision at |a1 - a2| = {abs(diff):g} "
             f"for these occupancies"
         )

@@ -1,4 +1,4 @@
-"""Overlap of pure two-mode Gaussian states computed from covariance data.
+"""Overlap of pure two-mode Gaussian states computed from their symplectic factors.
 
 The transition probability between two pure Gaussian states is the phase-space
 integral of chi1 chi2*, a four-dimensional Gaussian integral. In the
@@ -7,8 +7,10 @@ conventions of the states module it closes to
     exp(-(d1 - d2)^T (V1 + V2)^{-1} (d1 - d2) / 2) / sqrt(det(V1 + V2)),
 
 whose normalization is fixed by self-overlap = 1 for any pure form
-(det 2V = 16 det V = 1). This engine knows nothing about the closed-form
-overlap expression and serves as an independent route to it.
+(det 2V = 16 det V = 1). With V = S S^T / 2, the sum V1 + V2 is G G^T for
+G = [S1 S2] / sqrt(2), so one QR factorization of G^T gives its triangular
+factor without forming the sum. This engine knows nothing about the
+closed-form overlap expression and serves as an independent route to it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PURE_COVARIANCE_DET, GaussianForm
-
-#: Accepted deviation of det V from the pure-state value 1/16.
-PURITY_TOL = 1e-9
+from .states import _SQRT2, GaussianForm
 
 
 @dataclass(frozen=True)
@@ -36,32 +35,23 @@ class OverlapResult:
             raise ValueError(f"overlap must lie in [0, 1], got {self.value}")
 
 
-def _require_pure(form: GaussianForm, name: str) -> None:
-    det = float(np.linalg.det(form.covariance))
-    if abs(det - PURE_COVARIANCE_DET) > PURITY_TOL:
-        raise ValueError(
-            f"{name} is not pure: det V = {det!r}, expected {PURE_COVARIANCE_DET}"
-        )
-
-
 def pure_overlap(g1: GaussianForm, g2: GaussianForm) -> OverlapResult:
     """Transition probability |<psi1|psi2>|^2 of two pure two-mode Gaussian states.
 
-    The log is computed first from a Cholesky factorization of V1 + V2 (no
-    explicit inverse), so overlaps far below double-precision underflow still
-    report a finite log_value.
+    The log is computed first from the triangular factor R of G^T, with
+    R^T R = V1 + V2 (no explicit inverse), so overlaps far below
+    double-precision underflow still report a finite log_value.
     """
-    _require_pure(g1, "g1")
-    _require_pure(g2, "g2")
-    m = g1.covariance + g2.covariance
-    chol = np.linalg.cholesky(m)
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    # Forward substitution for chol z = d1 - d2, in the order LAPACK's
+    # Stacked in a fixed byte order, so that the overlap is exactly symmetric.
+    first, second = sorted((g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True)
+    r = np.linalg.qr(np.hstack((first, second)).T / _SQRT2, mode="r")
+    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
+    # Forward substitution for R^T z = d1 - d2, in the order LAPACK's
     # triangular solve takes, so the digits match it.
     z = g1.displacement_vector - g2.displacement_vector
     for j in range(len(z)):
-        z[j] /= chol[j, j]
-        z[j + 1:] -= z[j] * chol[j + 1:, j]
+        z[j] /= r[j, j]
+        z[j + 1:] -= z[j] * r[j, j + 1:]
     # z @ z overflows only where the overlap underflows; log_value is then -inf.
     with np.errstate(over="ignore"):
         log_value = -0.5 * float(z @ z) - 0.5 * log_det

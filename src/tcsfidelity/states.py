@@ -27,11 +27,17 @@ import numpy as np
 HBAR = 1.0
 BOLTZMANN_K = 1.0
 
-#: Determinant of the covariance matrix of any pure two-mode Gaussian state
-#: in the vacuum-variance-1/2 convention.
-PURE_COVARIANCE_DET = 1.0 / 16.0
-
 _SQRT2 = math.sqrt(2.0)
+
+#: Symplectic form of the quadratures (x1, p1, x2, p2).
+_OMEGA = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
 
 
 def mean_occupancy_from_temperature(
@@ -170,42 +176,39 @@ class PurificationSpec:
 
 @dataclass(frozen=True)
 class GaussianForm:
-    """Two-mode Gaussian CF as a 4x4 covariance matrix and a mean vector.
+    """Pure two-mode Gaussian state as a symplectic factor and a mean vector.
 
-    Coordinates are ordered (x1, p1, x2, p2). The covariance must be
-    symmetric positive definite; purity corresponds to det V = 1/16.
+    Coordinates are ordered (x1, p1, x2, p2). The covariance is
+    V = S S^T / 2 for the 4x4 symplectic factor S, S Omega S^T = Omega, so
+    the state is pure by construction: V is never stored, and no eigenvalue
+    of it comes out of a subtraction.
     """
 
-    covariance: np.ndarray
+    factor: np.ndarray
     displacement_vector: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = np.array(self.covariance, dtype=float)
+        factor = np.array(self.factor, dtype=float)
         disp = np.array(self.displacement_vector, dtype=float)
-        if cov.shape != (4, 4):
-            raise ValueError(f"covariance must be 4x4, got shape {cov.shape}")
+        if factor.shape != (4, 4):
+            raise ValueError(f"factor must be 4x4, got shape {factor.shape}")
         if disp.shape != (4,):
             raise ValueError(
                 f"displacement_vector must have length 4, got shape {disp.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov)[0] <= 0.0:
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "covariance", cov)
+        # Round-off in S Omega S^T scales with |S|^2, which grows like n.
+        defect = float(np.max(np.abs(factor @ _OMEGA @ factor.T - _OMEGA)))
+        if not defect <= 1e-12 * float(np.sum(factor * factor)):
+            raise ValueError(
+                f"factor is not symplectic: max |S Omega S^T - Omega| = {defect!r}"
+            )
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "displacement_vector", disp)
 
-    def to_json_dict(self) -> dict:
-        """Row-major JSON payload, {"cov": [[...], ...], "disp": [...]}."""
-        return {
-            "cov": self.covariance.tolist(),
-            "disp": self.displacement_vector.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "GaussianForm":
-        return cls(np.array(payload["cov"]), np.array(payload["disp"]))
+    @property
+    def covariance(self) -> np.ndarray:
+        """V = S S^T / 2, for the characteristic function."""
+        return 0.5 * (self.factor @ self.factor.T)
 
 
 def weyl_compose(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -258,26 +261,29 @@ def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) 
 
 
 def purification_gaussian_form(spec: PurificationSpec) -> GaussianForm:
-    """Covariance matrix and mean vector of the purification CF.
+    """Symplectic factor and mean vector of the purification CF.
 
-    The covariance has n + 1/2 on the diagonal and +-sqrt(n(n+1)) on the
-    cross-mode x1x2 / p1p2 entries; its determinant is identically 1/16.
+    The factor is the two-mode squeezer S = [[a I, b Z], [b Z, a I]] with
+    a = sqrt(n + 1), b = sqrt(n) and Z = diag(1, -1). Its covariance S S^T / 2
+    has n + 1/2 on the diagonal and +-sqrt(n(n+1)) on the cross-mode
+    x1x2 / p1p2 entries. Nothing is subtracted, so S is exact to rounding at
+    every occupancy.
     """
     n = spec.thermal.mean_occupancy
-    diag = n + 0.5
-    c = math.sqrt(n * (n + 1.0))
-    cov = np.array(
+    a = math.sqrt(n + 1.0)
+    b = math.sqrt(n)
+    factor = np.array(
         [
-            [diag, 0.0, c, 0.0],
-            [0.0, diag, 0.0, -c],
-            [c, 0.0, diag, 0.0],
-            [0.0, -c, 0.0, diag],
+            [a, 0.0, b, 0.0],
+            [0.0, a, 0.0, -b],
+            [b, 0.0, a, 0.0],
+            [0.0, -b, 0.0, a],
         ]
     )
     disp = _SQRT2 * np.array(
         [spec.alpha.real, spec.alpha.imag, spec.beta.real, spec.beta.imag]
     )
-    return GaussianForm(cov, disp)
+    return GaussianForm(factor, disp)
 
 
 def cf_phase_space_vector(lambda1: complex, lambda2: complex) -> np.ndarray:

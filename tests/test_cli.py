@@ -187,8 +187,25 @@ def test_fidelity_rejects_out_of_range_inputs(runner):
     result = invoke(runner, "fidelity", "--n1", "1e9")
     assert result.exit_code == 2
     result = invoke(runner, "fidelity", "--alpha2", "40,0")
-    assert result.exit_code == 2
+    assert result.exit_code == 1
     assert "underflow" in result.stderr
+
+
+@pytest.mark.parametrize("n1, n2, dalpha", [(1e4, 7e3, 1.0), (1e8, 1e8, 1e4)])
+def test_fidelity_gaussian_route_over_the_occupancy_range(
+    runner, n1, n2, dalpha, reference_fidelity, gaussian_route_envelope
+):
+    # From n of about 1e4 on, the covariance's small eigenvalue 1/(4n) is lost
+    # to cancellation; the symplectic factor has no such limit.
+    result = invoke(
+        runner, "fidelity", "--n1", repr(n1), "--n2", repr(n2),
+        "--alpha2", f"{dalpha!r},0", "--route", "gaussian-overlap",
+    )
+    assert result.exit_code == 0
+    fidelity = json.loads(result.stdout)["fidelity"]
+    reference = reference_fidelity(n1, 0j, n2, dalpha)
+    bound = gaussian_route_envelope(n1, n2, reference)
+    assert abs(fidelity - reference) / reference <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +459,9 @@ def test_sweep_closed_form_failure_maps_like_fidelity(runner):
         "--routes", "oracle", "--cutoff", "20",
     )
     single = invoke(runner, "fidelity", "--n1", "0", "--n2", "0", "--alpha2", "40,0")
-    assert swept.exit_code == single.exit_code == 2
+    assert swept.exit_code == single.exit_code == 1
     assert swept.stdout == ""
-    error_line = "Error: fidelity underflows double precision at |a1 - a2| = 40"
+    error_line = "error: fidelity underflows double precision at |a1 - a2| = 40"
     assert error_line in swept.stderr
     assert error_line in single.stderr
 
@@ -494,11 +511,13 @@ EXIT_CODE_TABLE = [
      "Error: cutoff must be >= 1, got 0"),
     (["bures", "--fidelity", "0"], 2, "Error: fidelity must lie in (0, 1], got 0.0"),
 ]
-# A route whose fidelity underflows says so and exits 1; only the closed form
-# still exits 2 there. At 1e154 the Gaussian route's quadratic form overflows
-# without numpy's RuntimeWarning, which the test settings make an error.
+# A route whose fidelity underflows says so and exits 1. At 1e154 the Gaussian
+# route's quadratic form overflows without numpy's RuntimeWarning, which the
+# test settings make an error.
 UNDERFLOW_LINE = "error: route {} produced fidelity 0.0: it underflows double precision"
 EXIT_CODE_TABLE += [
+    (["fidelity", "--alpha2", "40,0"], 1,
+     "error: fidelity underflows double precision at |a1 - a2| = 40 for these occupancies"),
     (["fidelity", "--alpha2", "30,0", "--route", "oracle", "--cutoff", "10"], 1,
      UNDERFLOW_LINE.format("oracle")),
     (["fidelity", "--alpha2", "30,0", "--route", "purification-optimized"], 1,

@@ -140,7 +140,8 @@ def test_tcs_fidelity_range_and_uniqueness_of_one():
 
 
 def test_tcs_fidelity_reports_underflow():
-    with pytest.raises(ValueError, match="underflow"):
+    # A numerical limit, not an input outside the domain.
+    with pytest.raises(ArithmeticError, match="underflow"):
         tcs_fidelity(make_state(0.0, 0j), make_state(0.0, 40.0))
 
 

@@ -1,6 +1,7 @@
 """Tests for the pure-state Gaussian overlap engine."""
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.linalg import solve_triangular
 
 from tcsfidelity.closed_form import optimal_beta, overlap_probability, tcs_fidelity
 from tcsfidelity.gaussian_overlap import OverlapResult, pure_overlap
+from tcsfidelity.routes import compute_route
 from tcsfidelity.states import (
     DisplacedThermalState,
     GaussianForm,
@@ -60,11 +62,16 @@ def test_log_value_equals_lapack_triangular_solve():
     for _ in range(10_000):
         g1 = random_form(rng)
         g2 = random_form(rng)
-        chol = np.linalg.cholesky(g1.covariance + g2.covariance)
-        z = solve_triangular(
-            chol, g1.displacement_vector - g2.displacement_vector, lower=True
+        first, second = sorted(
+            (g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True
         )
-        log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+        r = np.linalg.qr(np.hstack((first, second)).T / math.sqrt(2.0), mode="r")
+        # In Fortran order LAPACK solves R^T z = d on R itself.
+        z = solve_triangular(
+            np.asfortranarray(r), g1.displacement_vector - g2.displacement_vector,
+            trans="T",
+        )
+        log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
         expected = -0.5 * float(z @ z) - 0.5 * log_det
         assert pure_overlap(g1, g2).log_value == expected
 
@@ -126,12 +133,9 @@ def test_value_equals_exp_log_value():
 
 
 def test_rejects_mixed_covariance():
-    mixed = GaussianForm(1.5 * np.eye(4), np.zeros(4))
-    pure = form_of(0.0, 0j, 0j)
-    with pytest.raises(ValueError):
-        pure_overlap(mixed, pure)
-    with pytest.raises(ValueError):
-        pure_overlap(pure, mixed)
+    # V = S S^T / 2 = 1.5 I is mixed, and its factor sqrt(3) I is not symplectic.
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianForm(math.sqrt(3.0) * np.eye(4), np.zeros(4))
 
 
 def test_overlap_result_validation():
@@ -139,3 +143,22 @@ def test_overlap_result_validation():
         OverlapResult(value=1.1, log_value=0.0)
     with pytest.raises(ValueError):
         OverlapResult(value=-0.1, log_value=0.0)
+
+
+@pytest.mark.parametrize("dalpha", [1e-3, 1.0, 20.0, 1e4])
+@pytest.mark.parametrize("ratio", [0.7, 1.0])
+@pytest.mark.parametrize("n1", [0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+def test_route_meets_the_mpmath_reference_within_its_envelope(
+    n1, ratio, dalpha, reference_fidelity, gaussian_route_envelope
+):
+    n2 = ratio * n1
+    alpha1 = 0.3 - 0.2j
+    alpha2 = alpha1 + dalpha * (0.6 + 0.8j)
+    reference = reference_fidelity(n1, alpha1, n2, alpha2)
+    if reference < sys.float_info.min:
+        pytest.skip("the fidelity underflows double precision")
+    s1 = DisplacedThermalState(ThermalParams(n1), alpha1)
+    s2 = DisplacedThermalState(ThermalParams(n2), alpha2)
+    value = compute_route("gaussian_overlap", s1, s2).fidelity
+    bound = gaussian_route_envelope(n1, n2, reference)
+    assert abs(value - reference) / reference <= bound

@@ -345,24 +345,12 @@ def test_phase_space_vector_convention():
     assert np.allclose(b, [0.0, -math.sqrt(2), 0.0, 0.0])
 
 
-def test_gaussian_form_json_round_trip():
-    form = purification_gaussian_form(make_spec(0.7, 1 + 2j, -0.3j))
-    payload = form.to_json_dict()
-    assert set(payload) == {"cov", "disp"}
-    assert len(payload["cov"]) == 4 and len(payload["cov"][0]) == 4
-    restored = GaussianForm.from_json_dict(payload)
-    assert np.array_equal(restored.covariance, form.covariance)
-    assert np.array_equal(restored.displacement_vector, form.displacement_vector)
-
-
 def test_gaussian_form_rejects_invalid_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor must be 4x4"):
         GaussianForm(np.eye(3), np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="displacement_vector must have length 4"):
         GaussianForm(np.eye(4), np.zeros(3))
-    asymmetric = np.eye(4)
-    asymmetric[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        GaussianForm(asymmetric, np.zeros(4))
-    with pytest.raises(ValueError):
-        GaussianForm(-np.eye(4), np.zeros(4))
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianForm(math.sqrt(3.0) * np.eye(4), np.zeros(4))
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianForm(np.full((4, 4), np.nan), np.zeros(4))
