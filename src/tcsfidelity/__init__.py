@@ -14,7 +14,6 @@ from .closed_form import (
     log_overlap_probability,
     optimal_beta,
     overlap_exponent_coefficients,
-    overlap_probability,
     tcs_fidelity,
     thermal_fidelity,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "objective",
     "optimal_beta",
     "overlap_exponent_coefficients",
-    "overlap_probability",
     "partial_trace_mode2",
     "pure_overlap",
     "purification_cf",

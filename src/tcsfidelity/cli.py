@@ -156,23 +156,6 @@ def _report(result: routes.RouteResult) -> dict:
     return report
 
 
-def _compare(state1, state2, names, cutoff: int, config) -> dict[str, routes.RouteResult]:
-    """routes.compare, or the non-converged result as JSON and exit 1."""
-    results = routes.compare(state1, state2, names, cutoff, config)
-    last = list(results.values())[-1]
-    if not last.converged:
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "route": last.route,
-                "converged": False,
-                "diagnostics": last.diagnostics,
-            }
-        )
-        _fail("optimizer did not converge")
-    return results
-
-
 def _state_options(command):
     decorators = [
         click.option("--n1", type=float, help="Mean occupancy of state 1."),
@@ -238,18 +221,16 @@ main.command_class = ExitCodeCommand
     callback=_check_tolerance,
     help="With --all-routes: exit 1 if the max pairwise discrepancy exceeds this.",
 )
-@click.option("--max-iters", type=int, default=200, show_default=True)
 @click.option("--json/--csv", "emit_json", default=True, help="Output format.")
 def fidelity(
     n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2,
-    route, all_routes, cutoff, tol, max_iters, emit_json,
+    route, all_routes, cutoff, tol, emit_json,
 ):
     """Fidelity and Bures distance between two displaced thermal states."""
     state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
     state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
-    config = optimizer.OptimizerConfig(max_iters=max_iters)
     names = routes.ROUTES if all_routes else [route.replace("-", "_")]
-    results = _compare(state1, state2, names, cutoff, config)
+    results = routes.compare(state1, state2, names, cutoff)
     reports = [_report(result) for result in results.values()]
     # Rounding is monotone, so max - min is the largest pairwise |a - b|; a
     # single route gives 0, which never breaches --tol.
@@ -380,9 +361,8 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
               help="Comma-separated routes, or 'all'.")
 @click.option("--cutoff", type=int, default=fock_oracle.DEFAULT_CUTOFF,
               show_default=True)
-@click.option("--max-iters", type=int, default=200, show_default=True)
 @click.option("--json/--csv", "emit_json", default=False, help="Output format.")
-def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
+def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
     """Fidelity over a parameter grid, one row per grid point per route (CSV).
 
     Rows are ordered lexicographically in (n1, n2, Re dalpha, Im dalpha) and
@@ -394,7 +374,6 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
     if unknown:
         raise click.UsageError(f"unknown routes {unknown}; valid: {', '.join(ROUTE_NAMES)}")
     selected = [name.replace("-", "_") for name in selected]
-    config = optimizer.OptimizerConfig(max_iters=max_iters)
     points = sorted(
         (float(v1), float(v2), d.real, d.imag)
         for v1 in n1
@@ -406,7 +385,7 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, max_iters, emit_json):
         state1 = _build_state(v1, alpha1)
         state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
         # The closed form is the reference, run once even when it is selected.
-        results = _compare(state1, state2, ["closed_form", *selected], cutoff, config)
+        results = routes.compare(state1, state2, ["closed_form", *selected], cutoff)
         closed_value = results["closed_form"].fidelity
         for name in selected:
             value = results[name].fidelity

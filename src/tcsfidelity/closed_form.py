@@ -135,13 +135,6 @@ def log_overlap_probability(
     )
 
 
-def overlap_probability(
-    spec_ref: PurificationSpec, spec_free: PurificationSpec
-) -> float:
-    """Transition probability between the reference and free purifications."""
-    return min(1.0, math.exp(log_overlap_probability(spec_ref, spec_free)))
-
-
 def optimal_beta(
     state1: DisplacedThermalState, state2: DisplacedThermalState
 ) -> complex:

@@ -9,7 +9,8 @@ conventions of the states module it closes to
 whose normalization is fixed by self-overlap = 1 for any pure form
 (det 2V = 16 det V = 1). With V = S S^T / 2, the sum V1 + V2 is G G^T for
 G = [S1 S2] / sqrt(2), so one QR factorization of G^T gives its triangular
-factor without forming the sum. This engine knows nothing about the
+factor without forming the sum. The maximum of the overlap over one state's
+mode-2 mean is read off the same factor. This engine knows nothing about the
 closed-form overlap expression and serves as an independent route to it.
 """
 
@@ -35,6 +36,29 @@ class OverlapResult:
             raise ValueError(f"overlap must lie in [0, 1], got {self.value}")
 
 
+def _overlap_over_free_means(
+    g1: GaussianForm, g2: GaussianForm, free: int
+) -> tuple[OverlapResult, np.ndarray]:
+    """The overlap maximized over g2's means of its last ``free`` coordinates:
+    the substitution for R^T z = d1 - d2 stops before them, and they absorb
+    the residual it leaves, which is returned too."""
+    # Stacked in a fixed byte order, so that the overlap is exactly symmetric.
+    first, second = sorted((g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True)
+    r = np.linalg.qr(np.hstack((first, second)).T / _SQRT2, mode="r")
+    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
+    # Column by column in elementwise arithmetic, not a BLAS triangular solve,
+    # whose kernels differ in their last digits (some fuse multiply-adds).
+    z = g1.displacement_vector - g2.displacement_vector
+    solved = len(z) - free
+    for j in range(solved):
+        z[j] /= r[j, j]
+        z[j + 1:] -= z[j] * r[j, j + 1:]
+    # z @ z overflows only where the overlap underflows; log_value is then -inf.
+    with np.errstate(over="ignore"):
+        log_value = -0.5 * float(z[:solved] @ z[:solved]) - 0.5 * log_det
+    return OverlapResult(value=math.exp(log_value), log_value=log_value), z[solved:]
+
+
 def pure_overlap(g1: GaussianForm, g2: GaussianForm) -> OverlapResult:
     """Transition probability |<psi1|psi2>|^2 of two pure two-mode Gaussian states.
 
@@ -42,17 +66,12 @@ def pure_overlap(g1: GaussianForm, g2: GaussianForm) -> OverlapResult:
     R^T R = V1 + V2 (no explicit inverse), so overlaps far below
     double-precision underflow still report a finite log_value.
     """
-    # Stacked in a fixed byte order, so that the overlap is exactly symmetric.
-    first, second = sorted((g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True)
-    r = np.linalg.qr(np.hstack((first, second)).T / _SQRT2, mode="r")
-    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
-    # Forward substitution for R^T z = d1 - d2, in the order LAPACK's
-    # triangular solve takes, so the digits match it.
-    z = g1.displacement_vector - g2.displacement_vector
-    for j in range(len(z)):
-        z[j] /= r[j, j]
-        z[j + 1:] -= z[j] * r[j, j + 1:]
-    # z @ z overflows only where the overlap underflows; log_value is then -inf.
-    with np.errstate(over="ignore"):
-        log_value = -0.5 * float(z @ z) - 0.5 * log_det
-    return OverlapResult(value=math.exp(log_value), log_value=log_value)
+    return _overlap_over_free_means(g1, g2, 0)[0]
+
+
+def max_pure_overlap(g1: GaussianForm, g2: GaussianForm) -> tuple[OverlapResult, complex]:
+    """The largest pure_overlap(g1, g2) over g2's mode-2 mean, and the beta
+    attaining it: beta2 + (z2 + i z3) / sqrt(2) for the residual (z2, z3) of
+    two substitution steps, and log P = -(z0^2 + z1^2) / 2 - log det / 2."""
+    overlap, residual = _overlap_over_free_means(g1, g2, 2)
+    return overlap, complex(*(g2.displacement_vector[2:] + residual)) / _SQRT2

@@ -1,11 +1,12 @@
 """Numerical maximization of the purification overlap over the free displacement.
 
-The log of the overlap is an exactly quadratic, strictly concave function of
-(Re beta, Im beta) whose Hessian is the constant -2A I. The default Newton
-method therefore steps by gradient / 2A, with no line search and no linear
-solve, and lands on the maximum in a single step; a derivative-free
-Nelder-Mead fallback exercises a generic search path. Neither method consults
-the analytic maximizer, which the tests use as the oracle.
+The objective is the Gaussian engine's log overlap of the two purifications,
+an exactly quadratic, strictly concave function of (Re beta, Im beta). The
+default Newton method therefore takes one step: the engine's triangular
+factor of V1 + V2 gives the mode-2 mean that zeroes the mode-2 residual, and
+with it the maximum. A derivative-free Nelder-Mead method maximizes the same
+objective along a generic search path. Neither method takes a formula from
+the closed form, whose analytic maximizer the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import log_overlap_probability, overlap_exponent_coefficients
-from .states import DisplacedThermalState, PurificationSpec, _squared_modulus
+from . import gaussian_overlap, states
+from .closed_form import _check_occupancy
+from .states import DisplacedThermalState, GaussianForm, PurificationSpec
 
 METHODS = ("newton", "nelder-mead")
 
@@ -49,35 +51,24 @@ class OptimizationResult:
     gradient_norm: float
 
 
+def _purification_forms(
+    state1: DisplacedThermalState, state2: DisplacedThermalState, beta: complex = 0j
+) -> tuple[GaussianForm, GaussianForm]:
+    """The purifications of state1 and, beta-displaced, of state2 in the frame
+    of state1, so that alpha2 - alpha1 is rounded once and only there."""
+    diff = state2.displacement - state1.displacement
+    return (
+        states.purification_gaussian_form(PurificationSpec(state1.thermal, 0j, 0j)),
+        states.purification_gaussian_form(PurificationSpec(state2.thermal, diff, beta)),
+    )
+
+
 def objective(
     state1: DisplacedThermalState, state2: DisplacedThermalState, beta: complex
 ) -> float:
     """Log overlap of the reference purification of state1 with the
-    beta-displaced purification of state2; concave quadratic in (Re beta, Im beta)."""
-    ref = PurificationSpec(state1.thermal, state1.displacement, 0j)
-    free = PurificationSpec(state2.thermal, state2.displacement, beta)
-    return log_overlap_probability(ref, free)
-
-
-def _gradient(
-    state1: DisplacedThermalState, state2: DisplacedThermalState, beta: complex
-) -> tuple[np.ndarray, float]:
-    """Gradient of the objective in (Re beta, Im beta), and its curvature 2A:
-    the Hessian is -2A times the identity at every beta."""
-    a, b = overlap_exponent_coefficients(
-        state1.mean_occupancy, state2.mean_occupancy
-    )
-    diff = state2.displacement - state1.displacement
-    # The steps would carry an overflowing |alpha2 - alpha1|^2 into beta, which
-    # the objective names first; name the displacement difference here.
-    _squared_modulus(diff, "alpha2 - alpha1")
-    gradient = np.array(
-        [
-            -2.0 * a * beta.real + 2.0 * b * diff.real,
-            -2.0 * a * beta.imag - 2.0 * b * diff.imag,
-        ]
-    )
-    return gradient, 2.0 * a
+    beta-displaced purification of state2, from the Gaussian engine."""
+    return gaussian_overlap.pure_overlap(*_purification_forms(state1, state2, beta)).log_value
 
 
 def finite_difference_gradient(
@@ -96,36 +87,6 @@ def finite_difference_gradient(
             (f(beta + step) - f(beta - step)) / (2.0 * step),
             (f(beta + 1j * step) - f(beta - 1j * step)) / (2.0 * step),
         ]
-    )
-
-
-def _maximize_newton(state1, state2, config: OptimizerConfig) -> OptimizationResult:
-    beta = complex(config.initial_beta)
-    iterations = 0
-    while True:
-        gradient, curvature = _gradient(state1, state2, beta)
-        # Past about 1.3e154 the squared norm overflows: the norm reads inf,
-        # which rightly fails the test below, so numpy need not warn.
-        with np.errstate(over="ignore"):
-            gradient_norm = float(np.linalg.norm(gradient))
-        converged = gradient_norm <= config.gradient_tol or (
-            iterations > 0 and abs(step) <= 0.1 * config.beta_tol
-        )
-        if converged or iterations == config.max_iters:
-            break
-        # The Newton step, exact for the quadratic objective. Divide: tests pin
-        # its digits to a linear solve's, which 1 / curvature would not keep.
-        step = complex(gradient[0] / curvature, gradient[1] / curvature)
-        beta += step
-        iterations += 1
-    # Only an overlap far below underflow makes the objective's terms overflow
-    # to inf - inf; max reads that NaN as log 0 and leaves any number as it is.
-    return OptimizationResult(
-        beta_star=beta,
-        value=math.exp(max(-math.inf, objective(state1, state2, beta))),
-        iterations=iterations,
-        converged=converged,
-        gradient_norm=gradient_norm,
     )
 
 
@@ -165,10 +126,19 @@ def maximize_overlap(
 ) -> OptimizationResult:
     """Maximize the purification overlap over beta.
 
-    Non-convergence within config.max_iters is reported through
-    ``converged=False`` with diagnostics, never silently.
+    Newton always converges in its one step. Nelder-Mead's non-convergence
+    within config.max_iters is reported through ``converged=False`` with
+    diagnostics, never silently.
     """
     config = config or OptimizerConfig()
-    if config.method == "newton":
-        return _maximize_newton(state1, state2, config)
-    return _maximize_nelder_mead(state1, state2, config)
+    _check_occupancy(state1.mean_occupancy, "n1")
+    _check_occupancy(state2.mean_occupancy, "n2")
+    states._squared_modulus(state2.displacement - state1.displacement, "alpha2 - alpha1")
+    if config.method == "nelder-mead":
+        return _maximize_nelder_mead(state1, state2, config)
+    # Newton: the objective is exactly quadratic in beta, so one triangular
+    # step of the engine lands on its maximum and zeroes the mode-2 residual.
+    overlap, beta = gaussian_overlap.max_pure_overlap(*_purification_forms(state1, state2))
+    return OptimizationResult(
+        beta_star=beta, value=overlap.value, iterations=1, converged=True, gradient_norm=0.0
+    )

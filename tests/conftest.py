@@ -6,7 +6,7 @@ import sys
 import mpmath
 import pytest
 
-from tcsfidelity import fock_oracle
+from tcsfidelity import closed_form, fock_oracle
 
 #: Constant of the Gaussian route's envelope, fitted against the 50-digit
 #: reference: the largest error seen, in units of eps (max(1, n1, n2) + |ln F|),
@@ -56,3 +56,15 @@ def gaussian_route_envelope():
         return GAUSSIAN_ROUTE_C * sys.float_info.epsilon * scale
 
     return envelope
+
+
+@pytest.fixture(scope="session")
+def overlap_probability():
+    """Transition probability between a reference purification and a free
+    one, from the closed form's analytic log overlap:
+    overlap_probability(spec_ref, spec_free) -> float."""
+
+    def probability(spec_ref, spec_free):
+        return min(1.0, math.exp(closed_form.log_overlap_probability(spec_ref, spec_free)))
+
+    return probability

@@ -16,7 +16,6 @@ import numpy as np
 from tcsfidelity.closed_form import (
     bures_distance,
     optimal_beta,
-    overlap_probability,
     tcs_fidelity,
     thermal_fidelity,
 )
@@ -69,7 +68,7 @@ def grid_states():
         yield make_state(n1, BASE_ALPHA), make_state(n2, BASE_ALPHA + delta)
 
 
-def test_criterion_1_cross_route_agreement():
+def test_criterion_1_cross_route_agreement(overlap_probability):
     with criterion(1, "four routes agree pairwise within 1e-6, analytic routes within 1e-12"):
         for s1, s2 in grid_states():
             closed = tcs_fidelity(s1, s2).value

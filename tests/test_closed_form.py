@@ -12,7 +12,6 @@ from tcsfidelity.closed_form import (
     bures_distance,
     log_overlap_probability,
     optimal_beta,
-    overlap_probability,
     tcs_fidelity,
     thermal_fidelity,
 )
@@ -150,7 +149,7 @@ def test_tcs_fidelity_reports_underflow():
 # ---------------------------------------------------------------------------
 
 
-def test_overlap_vacuum_coherent():
+def test_overlap_vacuum_coherent(overlap_probability):
     ref = reference_spec(make_state(0.0, 0j))
     for alpha in (0.5, 1 + 1j, 2j):
         free = PurificationSpec(ThermalParams(0.0), alpha, 0j)
@@ -159,7 +158,7 @@ def test_overlap_vacuum_coherent():
         )
 
 
-def test_overlap_identical_pure_purifications():
+def test_overlap_identical_pure_purifications(overlap_probability):
     ref = reference_spec(make_state(1.3, 0.7 - 0.1j))
     free = PurificationSpec(ThermalParams(1.3), 0.7 - 0.1j, 0j)
     assert overlap_probability(ref, free) == pytest.approx(1.0, abs=1e-15)
@@ -172,7 +171,7 @@ def test_overlap_requires_zero_reference_beta():
         log_overlap_probability(bad_ref, free)
 
 
-def test_overlap_at_optimal_beta_reproduces_fidelity():
+def test_overlap_at_optimal_beta_reproduces_fidelity(overlap_probability):
     # Consistency chain over the sweep grid: inserting the analytic maximizer
     # into the overlap must land on the closed-form fidelity.
     for n1, n2, dalpha in product(OCCUPANCY_GRID, OCCUPANCY_GRID, DISPLACEMENT_GRID):
@@ -201,7 +200,7 @@ def test_optimal_beta_derived_value():
     assert optimal_beta(s1, s2) == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-15)
 
 
-def test_optimal_beta_is_global_maximum_in_disk():
+def test_optimal_beta_is_global_maximum_in_disk(overlap_probability):
     rng = np.random.default_rng(17)
     s1 = make_state(0.5, 1 + 1j)
     s2 = make_state(2.0, -1 + 0j)
@@ -215,7 +214,7 @@ def test_optimal_beta_is_global_maximum_in_disk():
         assert overlap_probability(ref, free_spec(s2, beta)) <= best + 1e-12
 
 
-def test_overlap_gradient_vanishes_at_optimal_beta():
+def test_overlap_gradient_vanishes_at_optimal_beta(overlap_probability):
     step = 1e-5
     for n1, n2, dalpha in product((0.0, 0.5, 2.0), (0.1, 1.0), (0.5, 1 + 1j)):
         s1 = make_state(n1, 0.3j)

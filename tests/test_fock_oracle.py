@@ -13,7 +13,6 @@ from scipy.special import eval_genlaguerre
 from tcsfidelity import fock_oracle, routes
 from tcsfidelity.closed_form import (
     optimal_beta,
-    overlap_probability,
     tcs_fidelity,
 )
 from tcsfidelity.fock_oracle import (
@@ -709,7 +708,7 @@ def test_partial_trace_of_uniform_schmidt_vector():
     assert np.allclose(reduced.entries, np.eye(cutoff) / cutoff, atol=1e-15)
 
 
-def test_purification_overlap_matches_closed_form():
+def test_purification_overlap_matches_closed_form(overlap_probability):
     cutoff = 60
     s1 = make_state(1.0, 0.3 - 0.2j)
     s2 = make_state(2.0, 1.3 - 0.2j)

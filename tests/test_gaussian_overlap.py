@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from tcsfidelity.closed_form import optimal_beta, overlap_probability, tcs_fidelity
+from tcsfidelity.closed_form import optimal_beta, tcs_fidelity
 from tcsfidelity.gaussian_overlap import OverlapResult, pure_overlap
 from tcsfidelity.routes import compute_route
 from tcsfidelity.states import (
@@ -57,7 +57,24 @@ def test_overlap_symmetric_to_machine_precision():
         assert forward.log_value == backward.log_value
 
 
-def test_log_value_equals_lapack_triangular_solve():
+def forward_substitution(r, d):
+    """R^T z = d column by column in plain float arithmetic: the engine's
+    order, with no BLAS kernel."""
+    z = [float(x) for x in d]
+    for j in range(len(z)):
+        z[j] /= r[j][j]
+        for k in range(j + 1, len(z)):
+            z[k] -= z[j] * r[j][k]
+    return np.array(z)
+
+
+#: Largest |engine - LAPACK| of the log overlap, in ulps of LAPACK's value.
+#: A triangular solve that fuses each multiply-add, simulated in exact
+#: arithmetic, was 5 ulps off on these pairs.
+LAPACK_ULPS = 16
+
+
+def test_log_value_equals_forward_substitution_and_lapack_within_ulps():
     rng = np.random.default_rng(37)
     for _ in range(10_000):
         g1 = random_form(rng)
@@ -66,14 +83,17 @@ def test_log_value_equals_lapack_triangular_solve():
             (g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True
         )
         r = np.linalg.qr(np.hstack((first, second)).T / math.sqrt(2.0), mode="r")
-        # In Fortran order LAPACK solves R^T z = d on R itself.
-        z = solve_triangular(
-            np.asfortranarray(r), g1.displacement_vector - g2.displacement_vector,
-            trans="T",
-        )
+        d = g1.displacement_vector - g2.displacement_vector
         log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
-        expected = -0.5 * float(z @ z) - 0.5 * log_det
-        assert pure_overlap(g1, g2).log_value == expected
+
+        def log_value(z):
+            return -0.5 * float(z @ z) - 0.5 * log_det
+
+        value = pure_overlap(g1, g2).log_value
+        assert value == log_value(forward_substitution(r.tolist(), d))
+        # In Fortran order LAPACK solves R^T z = d on R itself.
+        lapack = log_value(solve_triangular(np.asfortranarray(r), d, trans="T"))
+        assert abs(value - lapack) <= LAPACK_ULPS * math.ulp(lapack)
 
 
 def test_coherent_displacement_overlap():
@@ -85,7 +105,7 @@ def test_coherent_displacement_overlap():
         )
 
 
-def test_matches_closed_form_overlap_on_grid():
+def test_matches_closed_form_overlap_on_grid(overlap_probability):
     for n1, n2, dalpha in product(OCCUPANCY_GRID, OCCUPANCY_GRID, DISPLACEMENT_GRID):
         s1 = DisplacedThermalState(ThermalParams(n1), 0.2 - 0.4j)
         s2 = DisplacedThermalState(ThermalParams(n2), 0.2 - 0.4j + dalpha)
@@ -99,7 +119,7 @@ def test_matches_closed_form_overlap_on_grid():
         assert abs(engine - tcs_fidelity(s1, s2).value) < 1e-12
 
 
-def test_matches_closed_form_away_from_maximum():
+def test_matches_closed_form_away_from_maximum(overlap_probability):
     g1 = form_of(1.0, 0j, 0j)
     for beta in (0.5, 0.3, -1 + 0.5j, 2j):
         g2 = form_of(2.0, 1 + 0j, beta)
@@ -148,8 +168,9 @@ def test_overlap_result_validation():
 @pytest.mark.parametrize("dalpha", [1e-3, 1.0, 20.0, 1e4])
 @pytest.mark.parametrize("ratio", [0.7, 1.0])
 @pytest.mark.parametrize("n1", [0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("route", ["gaussian_overlap", "purification_optimized"])
 def test_route_meets_the_mpmath_reference_within_its_envelope(
-    n1, ratio, dalpha, reference_fidelity, gaussian_route_envelope
+    route, n1, ratio, dalpha, reference_fidelity, gaussian_route_envelope
 ):
     n2 = ratio * n1
     alpha1 = 0.3 - 0.2j
@@ -159,6 +180,6 @@ def test_route_meets_the_mpmath_reference_within_its_envelope(
         pytest.skip("the fidelity underflows double precision")
     s1 = DisplacedThermalState(ThermalParams(n1), alpha1)
     s2 = DisplacedThermalState(ThermalParams(n2), alpha2)
-    value = compute_route("gaussian_overlap", s1, s2).fidelity
+    value = compute_route(route, s1, s2).fidelity
     bound = gaussian_route_envelope(n1, n2, reference)
     assert abs(value - reference) / reference <= bound
