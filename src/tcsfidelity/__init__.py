@@ -21,11 +21,9 @@ from .fock_oracle import (
     DEFAULT_CUTOFF,
     FockMatrix,
     TwoModeVector,
-    cf_of_two_mode_vector,
     displaced_thermal_fidelity,
     displaced_thermal_matrix,
     displacement_matrix,
-    partial_trace_mode2,
     schmidt_purification,
     thermal_density_matrix,
     thermal_spectrum,
@@ -34,9 +32,9 @@ from .fock_oracle import (
 from .gaussian_overlap import OverlapResult, pure_overlap
 from .optimizer import (
     OptimizationResult,
-    OptimizerConfig,
     maximize_overlap,
     objective,
+    purification_forms,
 )
 from .routes import ROUTES, RouteResult, compare, compute_route
 from .states import (
@@ -68,14 +66,12 @@ __all__ = [
     "FockMatrix",
     "GaussianForm",
     "OptimizationResult",
-    "OptimizerConfig",
     "OverlapResult",
     "PurificationSpec",
     "RouteResult",
     "ThermalParams",
     "TwoModeVector",
     "bures_distance",
-    "cf_of_two_mode_vector",
     "cf_phase_space_vector",
     "compare",
     "compute_route",
@@ -89,9 +85,9 @@ __all__ = [
     "objective",
     "optimal_beta",
     "overlap_exponent_coefficients",
-    "partial_trace_mode2",
     "pure_overlap",
     "purification_cf",
+    "purification_forms",
     "purification_gaussian_form",
     "schmidt_purification",
     "tcs_cf",

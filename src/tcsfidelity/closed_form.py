@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 from .states import DisplacedThermalState, PurificationSpec, _squared_modulus
 
-#: Largest accepted mean occupancy. Beyond this the overlap exponents lose
-#: all double precision to the 1 - sqrt(s1 s2) denominator.
+#: Largest accepted mean occupancy, the limit of the two Gaussian routes: their
+#: relative error stays within 8 eps (max(1, n1, n2) + |ln F|), which grows
+#: linearly in n. The closed form alone stays within 2.7e-16 up to n = 1e15;
+#: a cap per route is ROADMAP item 3.
 MAX_OCCUPANCY = 1e8
 
 

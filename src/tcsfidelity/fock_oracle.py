@@ -319,19 +319,6 @@ def schmidt_purification(
     return TwoModeVector(cutoff, rho.factor @ displacement_matrix(beta, cutoff).T)
 
 
-def partial_trace_mode2(vector: TwoModeVector) -> FockMatrix:
-    """Reduced mode-1 density matrix of a two-mode pure state, stored as its
-    factor, the amplitudes; ``entries`` is amp amp^dag, formed when read."""
-    return FockMatrix(vector.cutoff, factor=vector.amplitudes)
-
-
-def cf_of_two_mode_vector(
-    vector: TwoModeVector, lambda1: complex, lambda2: complex
-) -> complex:
-    """Characteristic function <v| D(lambda1) x D(lambda2) |v> of the vector."""
-    return complex(cf_table(vector, [lambda1], [lambda2])[0, 0])
-
-
 def cf_table(vector: TwoModeVector, lambdas1, lambdas2) -> np.ndarray:
     """The characteristic function at every pair, table[i, j] at
     (lambdas1[i], lambdas2[j]).

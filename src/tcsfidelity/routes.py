@@ -20,9 +20,8 @@ class RouteResult:
     """One route's fidelity, with what is needed to judge it.
 
     ``beta_star`` is the optimal mode-2 displacement of the routes that find
-    one and ``cutoff`` the Fock truncation of the oracle. ``converged`` is
-    False only when the optimizer stopped short of its tolerance. A fidelity
-    outside (0, 1] raises ArithmeticError, one of exactly 0 as an underflow.
+    one and ``cutoff`` the Fock truncation of the oracle. A fidelity outside
+    (0, 1] raises ArithmeticError, one of exactly 0 as an underflow.
     """
 
     route: str
@@ -30,7 +29,6 @@ class RouteResult:
     beta_star: complex | None = None
     cutoff: int | None = None
     diagnostics: dict = field(default_factory=dict)
-    converged: bool = True
 
     def __post_init__(self) -> None:
         # Round-off may overshoot 1 by ulps and 0 is an underflow; anything else
@@ -47,37 +45,26 @@ class RouteResult:
             )
 
 
-def _closed_form(state1, state2, cutoff, config) -> RouteResult:
+def _closed_form(state1, state2, cutoff) -> RouteResult:
     return RouteResult("closed_form", closed_form.tcs_fidelity(state1, state2).value)
 
 
-def _oracle(state1, state2, cutoff, config) -> RouteResult:
+def _oracle(state1, state2, cutoff) -> RouteResult:
     # First, so that the cutoff is checked before s**cutoff could divide by 0.
     fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}
     return RouteResult("oracle", fidelity, cutoff=cutoff, diagnostics=tails)
 
 
-def _purification_optimized(state1, state2, cutoff, config) -> RouteResult:
-    result = optimizer.maximize_overlap(state1, state2, config)
-    diagnostics = {"iterations": result.iterations, "gradient_norm": result.gradient_norm}
-    return RouteResult(
-        "purification_optimized", result.value, beta_star=result.beta_star,
-        diagnostics=diagnostics, converged=result.converged,
-    )
+def _purification_optimized(state1, state2, cutoff) -> RouteResult:
+    result = optimizer.maximize_overlap(state1, state2)
+    return RouteResult("purification_optimized", result.value, beta_star=result.beta_star)
 
 
-def _gaussian_overlap(state1, state2, cutoff, config) -> RouteResult:
-    # The engine's quadratic form grows with |alpha2 - alpha1|^2; name that
-    # overflow here rather than let the form reach inf and the fidelity 0.
-    states._squared_modulus(state2.displacement - state1.displacement, "alpha2 - alpha1")
+def _gaussian_overlap(state1, state2, cutoff) -> RouteResult:
     beta = closed_form.optimal_beta(state1, state2)
-    reference = states.PurificationSpec(state1.thermal, state1.displacement, 0j)
-    free = states.PurificationSpec(state2.thermal, state2.displacement, beta)
-    overlap = gaussian_overlap.pure_overlap(
-        states.purification_gaussian_form(reference),
-        states.purification_gaussian_form(free),
-    )
+    forms = optimizer.purification_forms(state1, state2, beta)
+    overlap = gaussian_overlap.pure_overlap(*forms)
     return RouteResult(
         "gaussian_overlap", overlap.value, beta_star=beta,
         diagnostics={"log_value": overlap.log_value},
@@ -98,16 +85,15 @@ def compute_route(
     state1: states.DisplacedThermalState,
     state2: states.DisplacedThermalState,
     cutoff: int = fock_oracle.DEFAULT_CUTOFF,
-    config: optimizer.OptimizerConfig | None = None,
 ) -> RouteResult:
     """Fidelity of two displaced thermal states by the route ``name``.
 
-    Only the oracle uses ``cutoff`` and only the optimizer uses ``config``.
-    Inputs outside a route's domain raise ValueError; numerical failures
-    raise ArithmeticError or numpy.linalg.LinAlgError, which subclasses
-    ValueError and so must be caught first.
+    Only the oracle uses ``cutoff``. Inputs outside a route's domain raise
+    ValueError; numerical failures raise ArithmeticError or
+    numpy.linalg.LinAlgError, which subclasses ValueError and so must be
+    caught first.
     """
-    return ROUTES[name](state1, state2, cutoff, config or optimizer.OptimizerConfig())
+    return ROUTES[name](state1, state2, cutoff)
 
 
 def compare(
@@ -115,17 +101,9 @@ def compare(
     state2: states.DisplacedThermalState,
     names: Iterable[str],
     cutoff: int = fock_oracle.DEFAULT_CUTOFF,
-    config: optimizer.OptimizerConfig | None = None,
 ) -> dict[str, RouteResult]:
     """The routes ``names`` side by side: each runs once, in the order given.
-
-    The comparison stops after the first result that did not converge, which
-    then comes last. Failures raise as in ``compute_route``.
-    """
-    results: dict[str, RouteResult] = {}
-    for name in names:
-        if name not in results:
-            results[name] = compute_route(name, state1, state2, cutoff, config)
-            if not results[name].converged:
-                break
-    return results
+    Failures raise as in ``compute_route``."""
+    return {
+        name: compute_route(name, state1, state2, cutoff) for name in dict.fromkeys(names)
+    }

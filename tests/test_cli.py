@@ -152,6 +152,22 @@ def test_fidelity_overflow_names_the_displacement_difference(runner, route):
     )
 
 
+@pytest.mark.parametrize(
+    "route", ["closed-form", "oracle", "purification-optimized", "gaussian-overlap"]
+)
+def test_fidelity_at_a_huge_common_displacement(runner, route):
+    # The displacement cancels only in the frame of state 1: at the absolute
+    # alphas the Gaussian forms' mean vectors overflow to inf, and their
+    # difference is NaN.
+    result = invoke(
+        runner, "fidelity", "--n1", "1", "--alpha1", "1.7e308,0", "--alpha2", "1.7e308,0",
+        "--route", route,
+    )
+    assert result.exit_code == 0, result.output
+    assert "RuntimeWarning" not in result.stderr
+    assert abs(json.loads(result.stdout)["fidelity"] - 0.5) <= 1e-12
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
 @pytest.mark.parametrize("command", [
     ["fidelity", "--all-routes", "--n1", "1", "--alpha2", "1,0", "--cutoff", "10"],
@@ -222,7 +238,6 @@ def test_optimize_equal_displacements(runner):
     payload = json.loads(result.stdout)
     beta = payload["beta_star"].split(",")
     assert abs(complex(float(beta[0]), float(beta[1]))) < 1e-10
-    assert payload["converged"] is True
 
 
 def test_optimize_derived_case(runner):
@@ -231,7 +246,7 @@ def test_optimize_derived_case(runner):
     real_part = float(payload["beta_star"].split(",")[0])
     assert real_part == pytest.approx(0.9428090415820634, abs=1e-10)
     assert payload["beta_deviation"] <= 1e-8
-    assert payload["diagnostics"]["iterations"] <= 2
+    assert payload["diagnostics"] == {}
 
 
 def test_optimize_sweep_deviation(runner):
@@ -239,26 +254,6 @@ def test_optimize_sweep_deviation(runner):
         result = invoke(runner, "optimize", "--n1", n1, "--n2", n2, "--alpha2", alpha2)
         payload = json.loads(result.stdout)
         assert payload["beta_deviation"] <= 1e-8
-
-
-def test_optimize_nelder_mead_method(runner):
-    result = invoke(
-        runner, "optimize", "--n1", "1", "--n2", "1", "--alpha2", "1,0",
-        "--method", "nelder-mead", "--beta-tol", "1e-6", "--max-iters", "400",
-    )
-    assert result.exit_code == 0
-    payload = json.loads(result.stdout)
-    assert payload["beta_deviation"] <= 1e-6
-
-
-def test_optimize_non_convergence_exits_one(runner):
-    result = invoke(
-        runner, "optimize", "--n1", "1", "--n2", "1", "--alpha2", "1,0",
-        "--method", "nelder-mead", "--max-iters", "1",
-    )
-    assert result.exit_code == 1
-    payload = json.loads(result.stdout)
-    assert payload["converged"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +502,6 @@ EXIT_CODE_TABLE = [
     (["fidelity", "--n1", "1e9", "--route", "purification-optimized"], 2,
      "Error: n1=1000000000.0 exceeds the supported range (max 1e+08); "
      "double precision breaks down beyond it"),
-    (["optimize", "--beta-tol", "nan"], 2, "Error: beta_tol must be positive"),
     (["cf-grid", "--n", "-1"], 2, "Error: mean_occupancy must be finite and >= 0, got -1.0"),
     (["cf-grid", "--temp-ratio", "-2"], 2,
      "Error: hbar*w/(k_B*T) ratio must be positive, got -2.0"),
@@ -651,6 +645,24 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, check=True, text=True
     )
     assert process.stdout == "[]\n"
+    # scipy is a test dependency only: every command runs with it unimportable.
+    commands = [
+        ["fidelity", "--n1", "1", "--alpha2", "1,0", "--all-routes", "--cutoff", "40"],
+        ["optimize", "--n1", "1", "--alpha2", "1,0"],
+        ["cf-grid", "--n", "1", "--l1-re", "0:1:2", "--oracle-check", "20"],
+        ["sweep", "--n1", "0,1", "--dalpha", "1,0", "--cutoff", "40"],
+        ["bures", "--fidelity", "0.25"],
+    ]
+    run = (
+        "import sys; sys.modules['scipy'] = None; from tcsfidelity.cli import main; "
+        "main(sys.argv[1:], prog_name='tcsfid')"
+    )
+    for args in commands:
+        process = subprocess.run(
+            [sys.executable, "-c", run, *args], capture_output=True, text=True
+        )
+        assert process.returncode == 0, (args, process.stderr)
+        assert process.stdout, args
 
 
 def test_fidelity_golden_file():

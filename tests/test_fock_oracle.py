@@ -18,12 +18,10 @@ from tcsfidelity.closed_form import (
 from tcsfidelity.fock_oracle import (
     FockMatrix,
     TwoModeVector,
-    cf_of_two_mode_vector,
     cf_table,
     displaced_thermal_fidelity,
     displaced_thermal_matrix,
     displacement_matrix,
-    partial_trace_mode2,
     schmidt_purification,
     thermal_density_matrix,
     thermal_spectrum,
@@ -509,7 +507,7 @@ def test_constructors_factor_their_density_matrices():
         thermal_density_matrix(1.3, 30),
         displaced_thermal_matrix(make_state(1.3, 0j), 30),
         displaced_thermal_matrix(state, 30),
-        partial_trace_mode2(schmidt_purification(state, 0.2 + 0.5j, 30)),
+        FockMatrix(30, factor=schmidt_purification(state, 0.2 + 0.5j, 30).amplitudes),
     ]
     for rho in matrices:
         assert rho.factor is not None
@@ -519,8 +517,10 @@ def test_constructors_factor_their_density_matrices():
 def test_uhlmann_of_partial_traces_matches_displaced_thermal_pair():
     cutoff = 80
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
-    reduced1 = partial_trace_mode2(schmidt_purification(state1, 0.4 - 0.6j, cutoff))
-    reduced2 = partial_trace_mode2(schmidt_purification(state2, -0.2 + 0.1j, cutoff))
+    vector1 = schmidt_purification(state1, 0.4 - 0.6j, cutoff)
+    vector2 = schmidt_purification(state2, -0.2 + 0.1j, cutoff)
+    reduced1 = FockMatrix(cutoff, factor=vector1.amplitudes)
+    reduced2 = FockMatrix(cutoff, factor=vector2.amplitudes)
     direct = uhlmann_fidelity(
         displaced_thermal_matrix(state1, cutoff), displaced_thermal_matrix(state2, cutoff)
     )
@@ -685,7 +685,7 @@ def test_partial_trace_recovers_displaced_thermal(nbar, alpha):
     cutoff = 60
     state = make_state(nbar, alpha)
     vector = schmidt_purification(state, 0.4 - 0.6j, cutoff)
-    reduced = partial_trace_mode2(vector)
+    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
     expected = displaced_thermal_matrix(state, cutoff)
     assert np.linalg.norm(reduced.entries - expected.entries) < 1e-8
     amp = vector.amplitudes
@@ -697,14 +697,14 @@ def test_partial_trace_of_product_state():
     left = np.array([1.0, 1j, 0, 0, 0, 0]) / math.sqrt(2)
     right = np.array([0, 1.0, 0, 0, 0, 0], dtype=complex)
     vector = TwoModeVector(cutoff, np.outer(left, right))
-    reduced = partial_trace_mode2(vector)
+    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
     assert np.allclose(reduced.entries, np.outer(left, left.conj()), atol=1e-15)
 
 
 def test_partial_trace_of_uniform_schmidt_vector():
     cutoff = 8
     vector = TwoModeVector(cutoff, np.eye(cutoff, dtype=complex) / math.sqrt(cutoff))
-    reduced = partial_trace_mode2(vector)
+    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
     assert np.allclose(reduced.entries, np.eye(cutoff) / cutoff, atol=1e-15)
 
 
@@ -723,7 +723,7 @@ def test_purification_overlap_matches_closed_form(overlap_probability):
 
 def test_two_mode_cf_at_origin_is_squared_norm():
     vector = schmidt_purification(make_state(1.0, 1 + 0j), 0.5j, 40)
-    assert cf_of_two_mode_vector(vector, 0j, 0j) == pytest.approx(
+    assert cf_table(vector, [0j], [0j])[0, 0] == pytest.approx(
         vector.norm() ** 2, rel=1e-12
     )
 
@@ -734,7 +734,7 @@ def test_two_mode_cf_vacuum():
     amplitudes[0, 0] = 1.0
     vector = TwoModeVector(cutoff, amplitudes)
     for lam in (0.5, 1j, 0.6 - 0.3j):
-        assert cf_of_two_mode_vector(vector, lam, 0j) == pytest.approx(
+        assert cf_table(vector, [lam], [0j])[0, 0] == pytest.approx(
             math.exp(-abs(lam) ** 2 / 2), rel=1e-12
         )
 
@@ -750,7 +750,7 @@ def test_cf_table_equals_pointwise_expression():
             d1 = displacement_matrix(lam1, 24)
             d2 = displacement_matrix(lam2, 24)
             assert table[i, j] == np.vdot(amp, d1 @ amp @ d2.T)
-            assert cf_of_two_mode_vector(vector, lam1, lam2) == table[i, j]
+            assert cf_table(vector, [lam1], [lam2])[0, 0] == table[i, j]
 
 
 def test_two_mode_cf_matches_closed_form():
@@ -758,7 +758,7 @@ def test_two_mode_cf_matches_closed_form():
     spec = PurificationSpec(ThermalParams(1.0), 0j, 0j)
     vector = schmidt_purification(make_state(1.0, 0j), 0j, cutoff)
     for lam1, lam2 in [(0.5, 0.5), (1j, -0.5), (0.7 + 0.7j, 0.3 - 0.9j)]:
-        oracle = cf_of_two_mode_vector(vector, lam1, lam2)
+        oracle = cf_table(vector, [lam1], [lam2])[0, 0]
         closed = purification_cf(spec, lam1, lam2)
         assert abs(oracle - closed) < 1e-6
 

@@ -7,14 +7,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tcsfidelity import closed_form
+from tcsfidelity import closed_form, optimizer
 from tcsfidelity.closed_form import optimal_beta, tcs_fidelity, thermal_fidelity
-from tcsfidelity.optimizer import (
-    OptimizerConfig,
-    finite_difference_gradient,
-    maximize_overlap,
-    objective,
-)
+from tcsfidelity.optimizer import maximize_overlap, objective
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
 OCCUPANCY_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -68,7 +63,6 @@ def test_objective_is_quadratic_along_lines():
 
 def test_equal_displacements_give_zero_beta():
     result = maximize_overlap(make_state(0.4, 1 + 1j), make_state(1.6, 1 + 1j))
-    assert result.converged
     assert abs(result.beta_star) < 1e-10
     assert result.value == pytest.approx(thermal_fidelity(0.4, 1.6).value, abs=1e-12)
 
@@ -77,7 +71,6 @@ def test_recovers_derived_optimum():
     s1 = make_state(1.0, 0j)
     s2 = make_state(1.0, 1 + 0j)
     result = maximize_overlap(s1, s2)
-    assert result.converged
     assert abs(result.beta_star - 2 * math.sqrt(2) / 3) < 1e-10
     assert abs(result.value - tcs_fidelity(s1, s2).value) < 1e-12
 
@@ -86,16 +79,15 @@ def test_matches_analytic_formula():
     s1 = make_state(0.5, 1 + 1j)
     s2 = make_state(2.0, -1 + 0j)
     result = maximize_overlap(s1, s2)
-    assert result.converged
     assert abs(result.beta_star - optimal_beta(s1, s2)) < 1e-8
 
 
 def test_newton_terminates_in_documented_bound():
     # The log objective is exactly quadratic: one step lands on its maximum.
+    # The benchmark reads both constants.
     for n1, n2, dalpha in product((0.0, 0.5, 2.0), (0.0, 1.0), (0.0, 1 + 1j)):
         result = maximize_overlap(make_state(n1, 0j), make_state(n2, dalpha))
-        assert result.converged
-        assert result.iterations == 1
+        assert (result.iterations, result.converged) == (1, True)
 
 
 def test_grid_agreement_with_closed_form():
@@ -103,44 +95,24 @@ def test_grid_agreement_with_closed_form():
         s1 = make_state(n1, 0.2 - 0.4j)
         s2 = make_state(n2, 0.2 - 0.4j + dalpha)
         result = maximize_overlap(s1, s2)
-        assert result.converged
         assert abs(result.beta_star - optimal_beta(s1, s2)) < 1e-8
         assert result.value <= tcs_fidelity(s1, s2).value + 1e-12
         assert abs(result.value - tcs_fidelity(s1, s2).value) < 1e-10
 
 
-def test_initialization_independence():
-    rng = np.random.default_rng(43)
-    s1 = make_state(0.8, 0.5j)
-    s2 = make_state(1.5, 1 - 0.5j)
-    solutions = []
-    for _ in range(20):
-        radius = 10.0 * math.sqrt(rng.uniform())
-        angle = rng.uniform(0, 2 * np.pi)
-        config = OptimizerConfig(initial_beta=radius * np.exp(1j * angle))
-        result = maximize_overlap(s1, s2, config)
-        assert result.converged
-        solutions.append(result.beta_star)
-    spread = max(abs(a - solutions[0]) for a in solutions)
-    assert spread < 1e-8
-
-
-def test_gradient_small_at_solution():
-    s1 = make_state(0.3, 1j)
-    s2 = make_state(2.0, 1.5)
-    result = maximize_overlap(s1, s2)
-    grad = finite_difference_gradient(s1, s2, result.beta_star)
-    assert np.linalg.norm(grad) <= 1e-6
-    assert result.gradient_norm <= 1e-6
-
-
-def test_value_never_below_starting_point():
+def test_value_never_below_the_objective_at_another_beta():
     s1 = make_state(1.0, 0j)
     s2 = make_state(0.5, 2 - 1j)
-    config = OptimizerConfig(initial_beta=3 + 3j)
-    result = maximize_overlap(s1, s2, config)
-    assert result.converged
+    result = maximize_overlap(s1, s2)
     assert math.log(result.value) >= objective(s1, s2, 3 + 3j)
+
+
+def test_config_is_ignored():
+    # The benchmark still passes a config; it changes nothing.
+    s1 = make_state(0.5, 1 + 1j)
+    s2 = make_state(2.0, -1 + 0j)
+    config = optimizer.OptimizerConfig(max_iters=200)
+    assert maximize_overlap(s1, s2, config) == maximize_overlap(s1, s2)
 
 
 def test_value_underflows_at_a_huge_displacement():
@@ -222,51 +194,9 @@ def test_newton_is_one_qr_with_no_solve_and_no_closed_form_formula(monkeypatch):
     s2 = make_state(2.0, -1 + 0j)
     sys.setprofile(profile)
     try:
-        result = maximize_overlap(s1, s2, OptimizerConfig(initial_beta=3 - 2j))
+        result = maximize_overlap(s1, s2)
     finally:
         sys.setprofile(None)
     assert len(qr_calls) == 1
     assert set(entered) == {"_check_occupancy"}
-    assert (result.iterations, result.converged, result.gradient_norm) == (1, True, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead fallback
-# ---------------------------------------------------------------------------
-
-
-def test_nelder_mead_recovers_optimum():
-    s1 = make_state(0.5, 1 + 1j)
-    s2 = make_state(2.0, -1 + 0j)
-    config = OptimizerConfig(method="nelder-mead", beta_tol=1e-6, max_iters=400)
-    result = maximize_overlap(s1, s2, config)
-    assert result.converged
-    assert abs(result.beta_star - optimal_beta(s1, s2)) < 1e-6
-    assert result.gradient_norm <= 1e-6
-
-
-def test_nelder_mead_reports_non_convergence():
-    s1 = make_state(1.0, 0j)
-    s2 = make_state(1.0, 2 + 0j)
-    config = OptimizerConfig(method="nelder-mead", max_iters=1)
-    result = maximize_overlap(s1, s2, config)
-    assert not result.converged
-
-
-# ---------------------------------------------------------------------------
-# config validation
-# ---------------------------------------------------------------------------
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="bfgs")
-    with pytest.raises(ValueError):
-        OptimizerConfig(beta_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(value_tol=-1e-3)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
-    for name in ("beta_tol", "value_tol", "gradient_tol"):
-        with pytest.raises(ValueError, match=name):
-            OptimizerConfig(**{name: math.nan})
+    assert result.value == pytest.approx(tcs_fidelity(s1, s2).value, rel=1e-14)

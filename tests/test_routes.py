@@ -1,12 +1,11 @@
 """Tests for the route registry: one RouteResult per route, in report order."""
 
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer, routes
+from tcsfidelity import closed_form, fock_oracle, routes, states
 from tcsfidelity.routes import RouteResult, compare, compute_route
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
@@ -30,7 +29,6 @@ def test_compute_route_matches_golden_bit_for_bit(golden):
     assert result.fidelity == golden["fidelity"]
     assert result.cutoff == golden.get("cutoff")
     assert result.diagnostics == golden["diagnostics"]
-    assert result.converged
     if "beta_star" in golden:
         re, im = (float(part) for part in golden["beta_star"].split(","))
         assert result.beta_star == complex(re, im)
@@ -55,7 +53,6 @@ def test_route_result_rejects_fidelity_outside_unit_interval(fidelity):
         RouteResult("oracle", fidelity)
 
 
-
 def test_compare_runs_the_named_routes_in_order():
     names = ["gaussian_overlap", "closed_form", "oracle", "purification_optimized"]
     results = compare(STATE1, STATE2, names, CUTOFF)
@@ -75,18 +72,16 @@ def test_compare_runs_a_repeated_name_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_compare_stops_after_a_route_that_did_not_converge(monkeypatch):
-    maximize_overlap = optimizer.maximize_overlap
+@pytest.mark.parametrize("name", ["purification_optimized", "gaussian_overlap"])
+def test_gaussian_routes_build_their_forms_in_the_frame_of_state_1(monkeypatch, name):
+    # Through the module attribute, so that a tracer rebinding it sees the calls.
+    specs = []
+    build = states.purification_gaussian_form
     monkeypatch.setattr(
-        optimizer, "maximize_overlap",
-        lambda *args: dataclasses.replace(maximize_overlap(*args), converged=False),
+        states, "purification_gaussian_form", lambda spec: specs.append(spec) or build(spec)
     )
-
-    def must_not_run(*args):
-        raise AssertionError("the Gaussian route ran after a non-converged route")
-
-    monkeypatch.setattr(gaussian_overlap, "pure_overlap", must_not_run)
-    results = compare(STATE1, STATE2, routes.ROUTES, CUTOFF)
-    assert list(results) == ["closed_form", "oracle", "purification_optimized"]
-    assert not results["purification_optimized"].converged
-    assert all(result.converged for result in list(results.values())[:-1])
+    result = compute_route(name, STATE1, STATE2, CUTOFF)
+    assert [spec.alpha for spec in specs] == [0j, STATE2.displacement - STATE1.displacement]
+    assert specs[0].beta == 0j
+    if name == "gaussian_overlap":
+        assert specs[1].beta == result.beta_star
