@@ -510,6 +510,9 @@ EXIT_CODE_TABLE = [
     (["sweep", "--cutoff", "0", "--routes", "oracle"], 2,
      "Error: cutoff must be >= 1, got 0"),
     (["bures", "--fidelity", "0"], 2, "Error: fidelity must lie in (0, 1], got 0.0"),
+    # The Nelder-Mead flags are gone: click refuses them rather than ignore them.
+    (["optimize", "--beta-tol", "nan"], 2, "Error: No such option '--beta-tol'."),
+    (["optimize", "--method", "nelder-mead"], 2, "Error: No such option '--method'."),
 ]
 # A route whose fidelity underflows says so and exits 1. At 1e154 the Gaussian
 # route's quadratic form overflows without numpy's RuntimeWarning, which the

@@ -100,6 +100,41 @@ def test_grid_agreement_with_closed_form():
         assert abs(result.value - tcs_fidelity(s1, s2).value) < 1e-10
 
 
+def test_common_displacement_independence():
+    # The overlap is invariant under a common mode-1 displacement; the
+    # maximizer, which has no starting point, must not depend on it either.
+    rng = np.random.default_rng(43)
+    s1 = make_state(0.8, 0.5j)
+    s2 = make_state(1.5, 1 - 0.5j)
+    reference = maximize_overlap(s1, s2)
+    for _ in range(20):
+        radius = 10.0 * math.sqrt(rng.uniform())
+        shift = radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        result = maximize_overlap(make_state(0.8, 0.5j + shift), make_state(1.5, 1 - 0.5j + shift))
+        assert abs(result.beta_star - reference.beta_star) < 1e-8
+        assert abs(result.value - reference.value) < 1e-12
+
+
+def central_difference_gradient(s1, s2, beta, step=1e-5):
+    """Central-difference gradient of ``objective`` in (Re beta, Im beta)."""
+
+    def f(z):
+        return objective(s1, s2, z)
+
+    return np.array([
+        (f(beta + step) - f(beta - step)) / (2.0 * step),
+        (f(beta + 1j * step) - f(beta - 1j * step)) / (2.0 * step),
+    ])
+
+
+def test_gradient_small_at_solution():
+    s1 = make_state(0.3, 1j)
+    s2 = make_state(2.0, 1.5)
+    result = maximize_overlap(s1, s2)
+    grad = central_difference_gradient(s1, s2, result.beta_star)
+    assert np.linalg.norm(grad) <= 1e-6
+
+
 def test_value_never_below_the_objective_at_another_beta():
     s1 = make_state(1.0, 0j)
     s2 = make_state(0.5, 2 - 1j)
