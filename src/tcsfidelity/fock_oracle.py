@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,18 @@ def _toeplitz(base: np.ndarray, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _recurrence_constants(n: int) -> tuple:
-    """What the entry recurrence needs at cutoff ``n`` whatever alpha is,
-    memoized for the most recent cutoff only.
+    """The step plan of the entry recurrence at cutoff ``n``: everything it
+    needs whatever alpha is, memoized for the most recent cutoff only.
 
     Returns the orders, half the log-factorials, the ramp 0, 1, ..., 2n - 1,
-    the divisors sqrt((l+1)(l+o+1)) of each step l (views of one packed
-    buffer of n (n - 1) / 2 floats), the scales sqrt(l (l+o)) of each step
-    l >= 1 (prefixes of the step before's divisors) and the below-diagonal
-    mask of one mirror block.
+    the buffer that holds ramp - x, the n x n scratch table the recurrence
+    fills, the four views step 0 reads and writes (None at n = 1), a tuple of
+    the seven views of each step l >= 1 and the below-diagonal mask of one
+    mirror block. Step l divides by sqrt((l+1)(l+o+1)), a view of one packed
+    buffer of n (n - 1) / 2 floats, and scales its lag term by
+    sqrt(l (l+o)), a prefix of the step before's divisors. The scratch table
+    and the buffers are shared by every caller: fill them only under
+    _SCRATCH_LOCK.
     """
     order = np.arange(n)
     half_log_fact = 0.5 * np.array([math.lgamma(o + 1.0) for o in range(n)])
@@ -136,47 +141,62 @@ def _recurrence_constants(n: int) -> tuple:
         np.sqrt(np.multiply(l + 1.0, ramp[l + 1:n], row), row)
         divisors.append(row)
         start += n - 1 - l
-    scales = [row[:-1] for row in divisors[:-1]]
+    shifted = np.empty(2 * n)
+    table = np.empty((n, n))
+    products = np.empty(max(n - 2, 0))
+    first = None if n == 1 else (shifted[1:n], table[0, :-1], table[1, 1:], divisors[0])
+    # Step l writes row l + 1 of the upper triangle from rows l and l - 1:
+    # (2l+o+1 - x, E_l, E_{l+1}, sqrt(l(l+o)), E_{l-1}, product, divisor).
+    steps = tuple(
+        (shifted[2 * l + 1:n + l], table[l, l:-1], table[l + 1, l + 1:],
+         divisors[l - 1][:-1], table[l - 1, l - 1:-2], products[l - 1:], divisors[l])
+        for l in range(1, n - 1)
+    )
     below = np.tri(n, min(n, _MIRROR_BLOCK), -1, dtype=bool)
-    return order, half_log_fact, ramp, divisors, scales, below
+    return order, half_log_fact, ramp, shifted, table, first, steps, below
 
 
-def _fill_entries(x: float, radius: float, entries: np.ndarray) -> None:
-    """Write the real E_l^(o) of D(alpha), |alpha| = radius, x = radius^2,
-    into the n x n ``entries`` at [l, l + o] and at [l + o, l].
+#: Held from the fill of a plan's scratch table until the product that reads
+#: it has returned, so that concurrent callers cannot interleave their fills.
+_SCRATCH_LOCK = threading.Lock()
+
+
+def _fill_entries(x: float, radius: float, n: int) -> np.ndarray:
+    """Fill the scratch table of the step plan at cutoff ``n`` with the real
+    E_l^(o) of D(alpha), |alpha| = radius, x = radius^2, at [l, l + o] and at
+    [l + o, l], and return it. The caller holds _SCRATCH_LOCK until it has
+    read the table.
 
     The Laguerre recurrence of _displacement_entries runs upward in the
     degree l: step l writes row l + 1 of the upper triangle, E_{l+1}^(o) at
-    [l + 1, l + 1 + o], in place by four ufunc calls, reading rows l and
-    l - 1. The lower triangle is then mirrored in square blocks.
+    [l + 1, l + 1 + o], in place by four ufunc calls on the views the plan
+    holds for it, reading rows l and l - 1. The lower triangle is then
+    mirrored in square blocks.
     """
-    n = len(entries)
-    order, half_log_fact, ramp, divisors, scales, below = _recurrence_constants(n)
-    here = entries[0]
-    np.exp(order * math.log(radius) - 0.5 * x - half_log_fact, here)
+    order, half_log_fact, ramp, shifted, table, first, steps, below = (
+        _recurrence_constants(n)
+    )
+    np.exp(order * math.log(radius) - 0.5 * x - half_log_fact, table[0])
     # Whole numbers, exact as floats: 2l + o + 1 is a slice of the ramp.
-    shifted = ramp - x
+    np.subtract(ramp, x, shifted)
     # At small n each ufunc call costs more than its arithmetic, so the
     # loop writes through positional ``out`` arguments of local names.
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
-    if n > 1:
+    if first is not None:
         # Step 0 has no lag term: E_{-1} = 0, and subtracting +0.0 changes
         # no bit.
-        following = entries[1, 1:]
-        divide(multiply(shifted[1:n], here[:-1], following), divisors[0], following)
-        products = np.empty(n - 2)
-        for l in range(1, n - 1):
-            lag, here = here, following
-            following = entries[l + 1, l + 1:]
-            multiply(shifted[2 * l + 1:n + l], here[:-1], following)
-            product = products[l - 1:]
-            multiply(scales[l - 1], lag[:-2], product)
-            subtract(following, product, following)
-            divide(following, divisors[l], following)
+        shift, here, following, divisor = first
+        divide(multiply(shift, here, following), divisor, following)
+    for shift, here, following, scale, lag, product, divisor in steps:
+        multiply(shift, here, following)
+        multiply(scale, lag, product)
+        subtract(following, product, following)
+        divide(following, divisor, following)
     for start in range(0, n, _MIRROR_BLOCK):
         stop = start + _MIRROR_BLOCK
-        np.copyto(entries[start:, start:stop], entries[start:stop, start:].T,
+        np.copyto(table[start:, start:stop], table[start:stop, start:].T,
                   where=below[:n - start, :n - start])
+    return table
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,11 +214,12 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     the orders still inside the matrix. Every value it carries is a matrix
     entry, at most 1 in modulus, so it stays finite at any cutoff. The k < l
     entries follow from <l|D(alpha)|l+o> = (-1)^o conj(<l+o|D(alpha)|l>).
-    _fill_entries stores the real E_l^(o) on both sides of the diagonal, and
-    one product applies every phase at the end.
+    _fill_entries stores the real E_l^(o) on both sides of the diagonal in
+    the cutoff's scratch table, and one product of it with every phase
+    allocates the result, so no returned array is the scratch.
     """
-    out = np.zeros((n, n), dtype=complex)
     if alpha == 0:
+        out = np.zeros((n, n), dtype=complex)
         np.fill_diagonal(out, 1.0)
     else:
         x = _squared_modulus(alpha, "alpha")
@@ -206,13 +227,13 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
         # Part by part: complex / float would turn a -0.0 imaginary part into
         # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
         unit = complex(alpha.real / radius, alpha.imag / radius)
-        _fill_entries(x, radius, out.real)
+        order = np.arange(n)
         # The phase of entry (k, l) is phases[n - 1 - k + l]: unit^(k-l) for
         # k >= l and (-conj(unit))^(l-k) above. It must be the first factor:
         # the product E * phase signs some zero imaginary parts differently.
-        order = np.arange(n)
         phases = np.concatenate([(unit**order)[::-1], ((-unit.conjugate()) ** order)[1:]])
-        np.multiply(_toeplitz(phases, n), out, out)
+        with _SCRATCH_LOCK:
+            out = np.multiply(_toeplitz(phases, n), _fill_entries(x, radius, n))
     out.flags.writeable = False
     return out
 
@@ -224,16 +245,21 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     vectorized over the order k - l, gives the k >= l entries; the k < l
     entries are (-1)^(k-l) conjugates of them,
     <l|D(alpha)|k> = (-1)^(k-l) conj(<k|D(alpha)|l>). Every entry is finite at
-    any cutoff. Results are memoized per (alpha, cutoff) in a bounded cache of
-    8 matrices, at most 8 * 16 * N^2 bytes, plus the divisors of the most
-    recent cutoff, about 4 * N^2 bytes, and the array is shared between
+    any cutoff. The pass follows a step plan kept for the most recent cutoff:
+    its divisors, a scratch table of the real entries, and the views each
+    degree step reads and writes, about 12 * N^2 bytes of arrays and 1 KB of
+    views per step (157 KB at N = 80, 111 MB at N = 3000). Every caller fills
+    the same scratch under one lock, held until the phases are applied, so
+    calls from several threads are safe and their fills run one at a time.
+    Results are memoized per (alpha, cutoff) in a bounded cache of 8
+    matrices, at most 8 * 16 * N^2 bytes, and the array is shared between
     callers, so it is read-only. Accuracy of the truncation degrades once
     |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
     raises ValueError, and an alpha whose |alpha|^2 overflows raises
-    OverflowError. A matrix takes 0.21-0.35 ms at N = 80, 1.3-2.3 ms at
-    N = 320, 8.6-12 ms at N = 1000 and 0.10-0.13 s at N = 3000 (best of 5,
-    one OpenBLAS thread, on a 2-vCPU VM whose speed varied between runs),
-    and the first one at a new cutoff also builds its divisors: 0.16 ms at
+    OverflowError. A matrix takes 0.15-0.28 ms at N = 80, 0.95-1.0 ms at
+    N = 320, 6.5-7.5 ms at N = 1000 and 86-89 ms at N = 3000 (best of 5, one
+    OpenBLAS thread, on a 2-vCPU VM whose speed varied between runs), and
+    the first one at a new cutoff also builds its plan: 0.22-0.43 ms at
     N = 80, 22 ms at N = 3000.
     """
     alpha = _validate_complex(alpha, "alpha")

@@ -38,24 +38,31 @@ class OverlapResult:
 
 def _overlap_over_free_means(
     g1: GaussianForm, g2: GaussianForm, free: int
-) -> tuple[OverlapResult, np.ndarray]:
+) -> tuple[OverlapResult, list[float]]:
     """The overlap maximized over g2's means of its last ``free`` coordinates:
     the substitution for R^T z = d1 - d2 stops before them, and they absorb
     the residual it leaves, which is returned too."""
     # Stacked in a fixed byte order, so that the overlap is exactly symmetric.
     first, second = sorted((g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True)
-    r = np.linalg.qr(np.hstack((first, second)).T / _SQRT2, mode="r")
-    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
-    # Column by column in elementwise arithmetic, not a BLAS triangular solve,
-    # whose kernels differ in their last digits (some fuse multiply-adds).
-    z = g1.displacement_vector - g2.displacement_vector
+    # The raw output holds R transposed, below and on its diagonal:
+    # R[j, k] = h[k, j] for k >= j, so R is read without a triu copy.
+    h = np.linalg.qr(np.concatenate((first, second), axis=1).T / _SQRT2, mode="raw")[0]
+    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(h)))))
+    # Column by column on Python floats, in the order elementwise numpy
+    # arithmetic would take, not a BLAS triangular solve, whose kernels
+    # differ in their last digits (some fuse multiply-adds).
+    columns = h.tolist()
+    z = (g1.displacement_vector - g2.displacement_vector).tolist()
     solved = len(z) - free
     for j in range(solved):
-        z[j] /= r[j, j]
-        z[j + 1:] -= z[j] * r[j, j + 1:]
-    # z @ z overflows only where the overlap underflows; log_value is then -inf.
+        z[j] /= columns[j][j]
+        for k in range(j + 1, len(z)):
+            z[k] -= z[j] * columns[k][j]
+    head = np.array(z[:solved])
+    # head @ head overflows only where the overlap underflows; log_value is
+    # then -inf.
     with np.errstate(over="ignore"):
-        log_value = -0.5 * float(z[:solved] @ z[:solved]) - 0.5 * log_det
+        log_value = -0.5 * float(head @ head) - 0.5 * log_det
     return OverlapResult(value=math.exp(log_value), log_value=log_value), z[solved:]
 
 

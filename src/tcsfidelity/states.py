@@ -197,8 +197,8 @@ class GaussianForm:
                 f"displacement_vector must have length 4, got shape {disp.shape}"
             )
         # Round-off in S Omega S^T scales with |S|^2, which grows like n.
-        defect = float(np.max(np.abs(factor @ _OMEGA @ factor.T - _OMEGA)))
-        if not defect <= 1e-12 * float(np.sum(factor * factor)):
+        defect = float(np.abs(factor @ _OMEGA @ factor.T - _OMEGA).max())
+        if not defect <= 1e-12 * float((factor * factor).sum()):
             raise ValueError(
                 f"factor is not symplectic: max |S Omega S^T - Omega| = {defect!r}"
             )

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -350,6 +352,52 @@ def test_displacement_bytes_match_the_reference(alpha, n):
     # holds however a platform's exp rounds.
     entries = displacement_matrix(alpha, n)
     assert entries.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_displacement_matrices_never_share_the_scratch_table(n):
+    # At n = 1 and 2 the step plan has no tuple steps, at n = 3 one: a
+    # matrix built later at the same cutoff must leave an earlier one as it
+    # was, so neither the returned nor the memoized array is the scratch.
+    first = displacement_matrix(0.7 - 0.4j, n)
+    first_bytes = first.tobytes()
+    second = displacement_matrix(-1.2 + 0.9j, n)
+    assert first.tobytes() == first_bytes
+    assert not np.shares_memory(first, second)
+    assert first_bytes == parent_displacement_entries(0.7 - 0.4j, n).tobytes()
+    assert second.tobytes() == parent_displacement_entries(-1.2 + 0.9j, n).tobytes()
+
+
+def test_displacement_fills_from_threads_do_not_interleave():
+    # Every fresh matrix fills the cutoff's one scratch table; with a switch
+    # interval of a microsecond, threads that interleaved their fills would
+    # build wrong matrices.
+    threads, per_thread, n = 4, 150, 80
+    rng = np.random.default_rng(71)
+    radii = 3.0 * np.sqrt(rng.random(threads * per_thread))
+    angles = 2.0 * np.pi * rng.random(threads * per_thread)
+    alphas = [cmath.rect(r, a) for r, a in zip(radii, angles)]
+    assert len(set(alphas)) == len(alphas)
+    expected = [parent_displacement_entries(alpha, n).tobytes() for alpha in alphas]
+    build = fock_oracle._displacement_entries.__wrapped__
+    wrong = [None] * threads
+
+    def work(index):
+        chunk = range(index * per_thread, (index + 1) * per_thread)
+        wrong[index] = sum(build(alphas[i], n).tobytes() != expected[i] for i in chunk)
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == [0] * threads
 
 
 def test_displacement_vacuum_matrix_element():
