@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from functools import partial
 from typing import NoReturn
 
 import click
@@ -84,8 +83,7 @@ def _parse_real_list(text: str) -> list[float]:
     return values
 
 
-ComplexParam = partial(ParsedParam, "re,im", _parse_complex)
-COMPLEX = ComplexParam()
+COMPLEX = ParsedParam("re,im", _parse_complex)
 RANGE = ParsedParam("start:stop:count", _parse_range)
 REAL_LIST = ParsedParam("list|range", _parse_real_list)
 # Semicolon-separated complex values 're,im;re,im;...'.
@@ -177,15 +175,16 @@ def _state_options(command):
 class ExitCodeCommand(click.Command):
     """A command whose library failures follow the exit codes.
 
-    Numerical failures (ArithmeticError, numpy.linalg.LinAlgError) exit 1 with
-    an ``error:`` line; any other ValueError is an input outside the library's
+    Numerical failures (ArithmeticError, numpy.linalg.LinAlgError) and a
+    MemoryError, as from a cutoff whose matrices do not fit, exit 1 with an
+    ``error:`` line; any other ValueError is an input outside the library's
     domain, a usage error that exits 2.
     """
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
             _fail(str(exc))
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
@@ -310,7 +309,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
     table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
     if oracle_check is not None:
         vector = fock_oracle.schmidt_purification(
-            spec.mode1_state(), spec.beta, oracle_check
+            _build_state(occupancy, alpha), spec.beta, oracle_check
         )
         oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"

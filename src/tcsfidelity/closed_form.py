@@ -1,4 +1,4 @@
-"""Closed-form fidelity, purification overlap, and Bures distance.
+"""Closed-form fidelity, optimal mode-2 displacement, and Bures distance.
 
 All functions here are scalar formulas in the state parameters; the heavier
 numerical routes (Gaussian integral engine, Fock-space oracle, numerical
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import DisplacedThermalState, PurificationSpec, _squared_modulus
+from .states import DisplacedThermalState, _squared_modulus
 
 #: Largest accepted mean occupancy, the limit of the two Gaussian routes: their
 #: relative error stays within 8 eps (max(1, n1, n2) + |ln F|), which grows
@@ -88,53 +88,6 @@ def tcs_fidelity(
             f"for these occupancies"
         )
     return FidelityValue(min(value, 1.0))
-
-
-def overlap_exponent_coefficients(n1: float, n2: float) -> tuple[float, float]:
-    """Quadratic (A) and linear (B) exponent coefficients of the log overlap.
-
-    With s_i = n_i / (n_i + 1):
-        A = (1 + sqrt(s1 s2)) / (1 - sqrt(s1 s2)) >= 1
-        B = (sqrt(s1) + sqrt(s2)) / (1 - sqrt(s1 s2)) >= 0
-    The log overlap is log F_th - A (|beta|^2 + |a1 - a2|^2) + 2 B Re[beta (a2 - a1)].
-    """
-    n1 = _check_occupancy(n1, "n1")
-    n2 = _check_occupancy(n2, "n2")
-    s1 = n1 / (n1 + 1.0)
-    s2 = n2 / (n2 + 1.0)
-    root = math.sqrt(s1 * s2)
-    a = (1.0 + root) / (1.0 - root)
-    b = (math.sqrt(s1) + math.sqrt(s2)) / (1.0 - root)
-    return a, b
-
-
-def log_overlap_probability(
-    spec_ref: PurificationSpec, spec_free: PurificationSpec
-) -> float:
-    """Natural log of the transition probability between two purifications.
-
-    ``spec_ref`` is the fixed reference purification and must carry zero
-    mode-2 displacement; ``spec_free`` carries the free displacement beta.
-    The cross term couples beta to (a2 - a1) without conjugation, i.e. as
-    2 Re[beta (a2 - a1)]; this convention is pinned by the stationarity of
-    the analytic maximizer (see optimal_beta) and tested as such.
-    """
-    if spec_ref.beta != 0:
-        raise ValueError(
-            "reference purification must have zero mode-2 displacement, "
-            f"got beta={spec_ref.beta}"
-        )
-    n1 = spec_ref.thermal.mean_occupancy
-    n2 = spec_free.thermal.mean_occupancy
-    a, b = overlap_exponent_coefficients(n1, n2)
-    diff = spec_free.alpha - spec_ref.alpha
-    beta = spec_free.beta
-    log_prefactor = math.log(thermal_fidelity(n1, n2).value)
-    return (
-        log_prefactor
-        - a * (_squared_modulus(beta, "beta") + _squared_modulus(diff, "alpha2 - alpha1"))
-        + 2.0 * b * (beta * diff).real
-    )
 
 
 def optimal_beta(

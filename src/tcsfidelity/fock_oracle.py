@@ -42,10 +42,9 @@ class FockMatrix:
     ``factor`` is an N x N matrix B with rho = B B^dag: the amplitude matrix
     of a purification of the state, which uhlmann_fidelity uses in place of a
     square root. ``entries``, the density matrix itself, is formed as B B^dag
-    on first access and kept; thermal_density_matrix presets its exact
-    diagonal instead. A caller who holds only rho picks the factor, for
-    example a Cholesky factor or V sqrt(w) from an eigendecomposition with a
-    floor of their choosing.
+    on first access and kept. A caller who holds only rho picks the factor,
+    for example a Cholesky factor or V sqrt(w) from an eigendecomposition
+    with a floor of their choosing.
     """
 
     def __init__(self, cutoff: int, *, factor: np.ndarray) -> None:
@@ -61,9 +60,6 @@ class FockMatrix:
     def entries(self) -> np.ndarray:
         """The density matrix B B^dag, formed once when read."""
         return self.factor @ self.factor.conj().T
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,6 @@ class TwoModeVector:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
     """First ``count`` eigenvalues of the thermal state, s^j / (nbar + 1)."""
@@ -93,16 +86,6 @@ def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     s = nbar / (nbar + 1.0)
     return s ** np.arange(count) / (nbar + 1.0)
-
-
-def thermal_density_matrix(nbar: float, cutoff: int) -> FockMatrix:
-    """Diagonal thermal density operator truncated at ``cutoff`` levels."""
-    eta = thermal_spectrum(nbar, cutoff)
-    rho = FockMatrix(cutoff, factor=np.diag(np.sqrt(eta)))
-    # Exact, where B B^dag would round; the instance attribute shadows the
-    # cached property.
-    rho.entries = np.diag(eta).astype(complex)
-    return rho
 
 
 #: Columns per block when the recurrence mirrors its upper triangle: a
@@ -256,11 +239,7 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     callers, so it is read-only. Accuracy of the truncation degrades once
     |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
     raises ValueError, and an alpha whose |alpha|^2 overflows raises
-    OverflowError. A matrix takes 0.15-0.28 ms at N = 80, 0.95-1.0 ms at
-    N = 320, 6.5-7.5 ms at N = 1000 and 86-89 ms at N = 3000 (best of 5, one
-    OpenBLAS thread, on a 2-vCPU VM whose speed varied between runs), and
-    the first one at a new cutoff also builds its plan: 0.22-0.43 ms at
-    N = 80, 22 ms at N = 3000.
+    OverflowError.
     """
     alpha = _validate_complex(alpha, "alpha")
     if cutoff < 1:
@@ -273,11 +252,8 @@ def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockM
     B = D(alpha) sqrt(rho_thermal).
 
     Building it costs one column scaling of the memoized D(alpha); the N^3
-    product B B^dag runs only if ``entries`` is read. At zero displacement it
-    is thermal_density_matrix, with exact diagonal entries.
+    product B B^dag runs only if ``entries`` is read.
     """
-    if state.displacement == 0:
-        return thermal_density_matrix(state.mean_occupancy, cutoff)
     d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
     return FockMatrix(cutoff, factor=d * np.sqrt(eta))

@@ -60,14 +60,6 @@ def purification_forms(
     )
 
 
-def objective(
-    state1: DisplacedThermalState, state2: DisplacedThermalState, beta: complex
-) -> float:
-    """Log overlap of the reference purification of state1 with the
-    beta-displaced purification of state2, from the Gaussian engine."""
-    return gaussian_overlap.pure_overlap(*purification_forms(state1, state2, beta)).log_value
-
-
 def maximize_overlap(
     state1: DisplacedThermalState,
     state2: DisplacedThermalState,

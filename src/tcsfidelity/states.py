@@ -170,9 +170,6 @@ class PurificationSpec:
         object.__setattr__(self, "alpha", _validate_complex(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _validate_complex(self.beta, "beta"))
 
-    def mode1_state(self) -> DisplacedThermalState:
-        return DisplacedThermalState(self.thermal, self.alpha)
-
 
 @dataclass(frozen=True)
 class GaussianForm:
@@ -204,32 +201,6 @@ class GaussianForm:
             )
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "displacement_vector", disp)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """V = S S^T / 2, for the characteristic function."""
-        return 0.5 * (self.factor @ self.factor.T)
-
-
-def weyl_compose(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    """Heisenberg-Weyl composition: D(alpha) D(beta) = phase * D(alpha + beta).
-
-    Returns (phase, alpha + beta) with phase = exp[(alpha beta* - alpha* beta)/2],
-    which always has unit modulus.
-    """
-    alpha = _validate_complex(alpha, "alpha")
-    beta = _validate_complex(beta, "beta")
-    exponent = 0.5 * (alpha * beta.conjugate() - alpha.conjugate() * beta)
-    return cmath.exp(exponent), alpha + beta
-
-
-def tcs_cf(state: DisplacedThermalState, lam: complex) -> complex:
-    """CF of a displaced thermal state, exp[-(n+1/2)|lam|^2 + lam a* - lam* a]:
-    the lambda2 = 0 marginal of purification_cf, which evaluates it.
-    """
-    _squared_modulus(complex(lam), "lambda")  # name this argument on overflow
-    spec = PurificationSpec(state.thermal, state.displacement, 0j)
-    return purification_cf(spec, lam, 0j)
 
 
 def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) -> complex:
@@ -284,19 +255,3 @@ def purification_gaussian_form(spec: PurificationSpec) -> GaussianForm:
         [spec.alpha.real, spec.alpha.imag, spec.beta.real, spec.beta.imag]
     )
     return GaussianForm(factor, disp)
-
-
-def cf_phase_space_vector(lambda1: complex, lambda2: complex) -> np.ndarray:
-    """Real vector b conjugate to (x1, p1, x2, p2) with D(l1, l2) = exp(i b.r)."""
-    l1 = complex(lambda1)
-    l2 = complex(lambda2)
-    return np.array(
-        [_SQRT2 * l1.imag, -_SQRT2 * l1.real, _SQRT2 * l2.imag, -_SQRT2 * l2.real]
-    )
-
-
-def gaussian_form_cf(form: GaussianForm, lambda1: complex, lambda2: complex) -> complex:
-    """Evaluate the CF encoded by a GaussianForm at complex arguments (l1, l2)."""
-    b = cf_phase_space_vector(lambda1, lambda2)
-    quad = -0.5 * float(b @ form.covariance @ b)
-    return cmath.exp(complex(quad, float(b @ form.displacement_vector)))

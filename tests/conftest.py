@@ -1,12 +1,14 @@
 """Fixtures shared by every test module."""
 
+import cmath
 import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
-from tcsfidelity import closed_form, fock_oracle
+from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer
 
 #: Constant of the Gaussian route's envelope, fitted against the 50-digit
 #: reference: the largest error seen, in units of eps (max(1, n1, n2) + |ln F|),
@@ -61,10 +63,91 @@ def gaussian_route_envelope():
 @pytest.fixture(scope="session")
 def overlap_probability():
     """Transition probability between a reference purification and a free
-    one, from the closed form's analytic log overlap:
-    overlap_probability(spec_ref, spec_free) -> float."""
+    one, from the analytic log overlap:
+    overlap_probability(spec_ref, spec_free) -> float.
+
+    ``spec_ref`` must carry zero mode-2 displacement. With s_i = n_i / (n_i + 1),
+        A = (1 + sqrt(s1 s2)) / (1 - sqrt(s1 s2)) >= 1,
+        B = (sqrt(s1) + sqrt(s2)) / (1 - sqrt(s1 s2)) >= 0,
+    the log overlap is log F_th - A (|beta|^2 + |a2 - a1|^2)
+    + 2 B Re[beta (a2 - a1)]. The cross term couples beta to a2 - a1 without
+    conjugation; this convention is pinned by the stationarity of the
+    analytic maximizer (closed_form.optimal_beta) and tested as such.
+    """
 
     def probability(spec_ref, spec_free):
-        return min(1.0, math.exp(closed_form.log_overlap_probability(spec_ref, spec_free)))
+        if spec_ref.beta != 0:
+            raise ValueError(
+                "reference purification must have zero mode-2 displacement, "
+                f"got beta={spec_ref.beta}"
+            )
+        n1 = spec_ref.thermal.mean_occupancy
+        n2 = spec_free.thermal.mean_occupancy
+        s1, s2 = n1 / (n1 + 1.0), n2 / (n2 + 1.0)
+        root = math.sqrt(s1 * s2)
+        a = (1.0 + root) / (1.0 - root)
+        b = (math.sqrt(s1) + math.sqrt(s2)) / (1.0 - root)
+        diff = spec_free.alpha - spec_ref.alpha
+        beta = spec_free.beta
+        log_value = (
+            math.log(closed_form.thermal_fidelity(n1, n2).value)
+            - a * (abs(beta) ** 2 + abs(diff) ** 2)
+            + 2.0 * b * (beta * diff).real
+        )
+        return min(1.0, math.exp(log_value))
 
     return probability
+
+
+@pytest.fixture(scope="session")
+def objective():
+    """Log overlap of the reference purification of state1 with the
+    beta-displaced purification of state2, from the Gaussian engine:
+    objective(state1, state2, beta) -> float."""
+
+    def log_overlap(state1, state2, beta):
+        forms = optimizer.purification_forms(state1, state2, beta)
+        return gaussian_overlap.pure_overlap(*forms).log_value
+
+    return log_overlap
+
+
+@pytest.fixture(scope="session")
+def weyl_compose():
+    """Heisenberg-Weyl composition D(alpha) D(beta) = phase * D(alpha + beta):
+    weyl_compose(alpha, beta) -> (phase, alpha + beta), with
+    phase = exp[(alpha beta* - alpha* beta) / 2] of unit modulus."""
+
+    def compose(alpha, beta):
+        alpha, beta = complex(alpha), complex(beta)
+        exponent = 0.5 * (alpha * beta.conjugate() - alpha.conjugate() * beta)
+        return cmath.exp(exponent), alpha + beta
+
+    return compose
+
+
+@pytest.fixture(scope="session")
+def cf_phase_space_vector():
+    """Real vector b conjugate to (x1, p1, x2, p2) with D(l1, l2) = exp(i b.r):
+    cf_phase_space_vector(lambda1, lambda2) -> numpy array of length 4."""
+
+    def vector(lambda1, lambda2):
+        l1, l2 = complex(lambda1), complex(lambda2)
+        root2 = math.sqrt(2.0)
+        return np.array([root2 * l1.imag, -root2 * l1.real, root2 * l2.imag, -root2 * l2.real])
+
+    return vector
+
+
+@pytest.fixture(scope="session")
+def gaussian_form_cf(cf_phase_space_vector):
+    """The CF that a GaussianForm encodes, exp(-b^T V b / 2 + i b.d) with
+    V = S S^T / 2: gaussian_form_cf(form, lambda1, lambda2) -> complex."""
+
+    def cf(form, lambda1, lambda2):
+        b = cf_phase_space_vector(lambda1, lambda2)
+        covariance = 0.5 * (form.factor @ form.factor.T)
+        quad = -0.5 * float(b @ covariance @ b)
+        return cmath.exp(complex(quad, float(b @ form.displacement_vector)))
+
+    return cf

@@ -35,7 +35,6 @@ from tcsfidelity.states import (
     ThermalParams,
     purification_cf,
     purification_gaussian_form,
-    weyl_compose,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -119,7 +118,8 @@ def test_criterion_3_purification_covariance_is_pure():
         rng = np.random.default_rng(2024)
         for nbar in rng.uniform(0.0, 10.0, 100):
             spec = PurificationSpec(ThermalParams(float(nbar)), 1 - 0.5j, 0.3 + 0.8j)
-            det = np.linalg.det(purification_gaussian_form(spec).covariance)
+            factor = purification_gaussian_form(spec).factor
+            det = np.linalg.det(0.5 * (factor @ factor.T))
             assert abs(det - 1.0 / 16.0) <= 1e-12
 
 
@@ -177,7 +177,7 @@ def test_criterion_7_closed_form_spot_values():
         assert bures_distance(1.0) == 0.0
 
 
-def test_criterion_8_displacement_composition():
+def test_criterion_8_displacement_composition(weyl_compose):
     with criterion(8, "operator product matches the composed displacement within 1e-7"):
         block = CF_CUTOFF // 2
         pairs = [

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from tcsfidelity import closed_form, fock_oracle
-from tcsfidelity.cli import ComplexParam, ExitCodeCommand, format_complex, main
+from tcsfidelity.cli import COMPLEX, ExitCodeCommand, format_complex, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -33,9 +33,8 @@ def invoke(runner, *args):
 
 
 def test_complex_round_trip():
-    param = ComplexParam()
     for z in (0j, 1 + 0j, complex(1 / 3, -2 / 7), complex(-0.1, 1e-17)):
-        assert param.convert(format_complex(z), None, None) == z
+        assert COMPLEX.convert(format_complex(z), None, None) == z
 
 
 def test_complex_rejects_spaces_and_bad_shapes(runner):
@@ -581,6 +580,27 @@ def test_library_failures_follow_the_exit_codes(runner, args, code, last_line):
     assert isinstance(result.exception, SystemExit)
     if code == 2:
         assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+
+
+@pytest.mark.parametrize("layer, args", [
+    ("displaced_thermal_fidelity",
+     ["fidelity", "--n1", "1", "--route", "oracle", "--cutoff", "100000"]),
+    ("schmidt_purification", ["cf-grid", "--n", "1", "--oracle-check", "100000"]),
+], ids=["fidelity", "cf-grid"])
+def test_out_of_memory_is_a_numerical_failure(runner, monkeypatch, layer, args):
+    # Raised in place of the allocation, which could succeed under overcommit
+    # and get the process killed later.
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def refuse(*_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fock_oracle, layer, refuse)
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_every_command_maps_library_failures():

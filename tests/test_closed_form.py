@@ -10,7 +10,6 @@ from tcsfidelity import fock_oracle
 from tcsfidelity.closed_form import (
     FidelityValue,
     bures_distance,
-    log_overlap_probability,
     optimal_beta,
     tcs_fidelity,
     thermal_fidelity,
@@ -53,8 +52,8 @@ def test_thermal_fidelity_one_zero_is_exactly_half():
 
 def test_thermal_fidelity_matches_oracle():
     oracle = fock_oracle.uhlmann_fidelity(
-        fock_oracle.thermal_density_matrix(1.0, 80),
-        fock_oracle.thermal_density_matrix(0.0, 80),
+        fock_oracle.displaced_thermal_matrix(make_state(1.0, 0j), 80),
+        fock_oracle.displaced_thermal_matrix(make_state(0.0, 0j), 80),
     )
     assert abs(oracle - 0.5) < 1e-8
 
@@ -164,11 +163,11 @@ def test_overlap_identical_pure_purifications(overlap_probability):
     assert overlap_probability(ref, free) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_overlap_requires_zero_reference_beta():
+def test_overlap_requires_zero_reference_beta(overlap_probability):
     bad_ref = PurificationSpec(ThermalParams(1.0), 0j, 0.1j)
     free = PurificationSpec(ThermalParams(1.0), 1j, 0j)
     with pytest.raises(ValueError):
-        log_overlap_probability(bad_ref, free)
+        overlap_probability(bad_ref, free)
 
 
 def test_overlap_at_optimal_beta_reproduces_fidelity(overlap_probability):

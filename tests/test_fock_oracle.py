@@ -25,7 +25,6 @@ from tcsfidelity.fock_oracle import (
     displaced_thermal_matrix,
     displacement_matrix,
     schmidt_purification,
-    thermal_density_matrix,
     thermal_spectrum,
     uhlmann_fidelity,
 )
@@ -34,7 +33,6 @@ from tcsfidelity.states import (
     PurificationSpec,
     ThermalParams,
     purification_cf,
-    weyl_compose,
 )
 
 
@@ -190,23 +188,25 @@ def random_state_pairs(seed, count):
 
 
 def test_thermal_matrix_vacuum():
-    rho = thermal_density_matrix(0.0, 5)
+    rho = displaced_thermal_matrix(make_state(0.0, 0j), 5)
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 0] = 1.0
     assert np.array_equal(rho.entries, expected)
 
 
 def test_thermal_matrix_unit_occupancy_entries():
-    rho = thermal_density_matrix(1.0, 12)
+    # D(0) is the identity, so the factor is diag(sqrt(eta)) exactly.
+    rho = displaced_thermal_matrix(make_state(1.0, 0j), 12)
+    eta = thermal_spectrum(1.0, 12)
     for j in range(12):
-        assert rho.entries[j, j] == 0.5 * 0.5**j
+        assert eta[j] == 0.5 * 0.5**j
+    assert np.array_equal(rho.factor, np.diag(np.sqrt(eta)))
     off_diagonal = rho.entries - np.diag(np.diagonal(rho.entries))
     assert np.count_nonzero(off_diagonal) == 0
 
 
 def test_thermal_matrix_trace_tail():
-    rho = thermal_density_matrix(1.0, 40)
-    assert rho.trace().real == 1.0 - 2.0**-40
+    assert sum(thermal_spectrum(1.0, 40)) == 1.0 - 2.0**-40
 
 
 def test_thermal_spectrum_values():
@@ -440,7 +440,7 @@ def test_displacement_truncated_unitarity():
     assert np.max(np.abs((product - np.eye(n))[:20, :20])) < 1e-8
 
 
-def test_displacement_composition_law():
+def test_displacement_composition_law(weyl_compose):
     n = 60
     block = n // 2
     pairs = [
@@ -465,7 +465,7 @@ def test_displacement_composition_law():
 
 def test_displaced_thermal_zero_displacement():
     rho = displaced_thermal_matrix(make_state(1.5, 0j), 30)
-    assert np.array_equal(rho.entries, thermal_density_matrix(1.5, 30).entries)
+    assert np.array_equal(rho.factor, np.diag(np.sqrt(thermal_spectrum(1.5, 30))))
 
 
 def test_displaced_vacuum_is_coherent_projector():
@@ -512,8 +512,8 @@ def test_uhlmann_vacuum_vs_coherent():
 
 
 def test_uhlmann_thermal_vs_vacuum():
-    rho1 = thermal_density_matrix(1.0, 80)
-    rho2 = thermal_density_matrix(0.0, 80)
+    rho1 = displaced_thermal_matrix(make_state(1.0, 0j), 80)
+    rho2 = displaced_thermal_matrix(make_state(0.0, 0j), 80)
     assert abs(uhlmann_fidelity(rho1, rho2) - 0.5) < 1e-8
 
 
@@ -533,7 +533,8 @@ def test_uhlmann_pure_state_reduces_to_trace_product():
 def test_uhlmann_rejects_cutoff_mismatch():
     with pytest.raises(ValueError):
         uhlmann_fidelity(
-            thermal_density_matrix(1.0, 20), thermal_density_matrix(1.0, 30)
+            displaced_thermal_matrix(make_state(1.0, 0j), 20),
+            displaced_thermal_matrix(make_state(1.0, 0j), 30),
         )
 
 
@@ -552,7 +553,6 @@ def test_uhlmann_matches_square_root_reference(cutoff):
 def test_constructors_factor_their_density_matrices():
     state = make_state(0.8, 0.6 - 1.1j)
     matrices = [
-        thermal_density_matrix(1.3, 30),
         displaced_thermal_matrix(make_state(1.3, 0j), 30),
         displaced_thermal_matrix(state, 30),
         FockMatrix(30, factor=schmidt_purification(state, 0.2 + 0.5j, 30).amplitudes),
@@ -630,7 +630,8 @@ def test_oracle_frame_matches_uhlmann_of_the_undisplaced_pair():
     state1, state2 = make_state(0.7, -0.4 + 2.0j), make_state(1.8, 0.2 + 1.2j)
     delta = abs(state2.displacement - state1.displacement)
     direct = uhlmann_fidelity(
-        thermal_density_matrix(0.7, 60), displaced_thermal_matrix(make_state(1.8, delta), 60)
+        displaced_thermal_matrix(make_state(0.7, 0j), 60),
+        displaced_thermal_matrix(make_state(1.8, delta), 60),
     )
     assert abs(displaced_thermal_fidelity(state1, state2, 60) - direct) <= 1e-15
 
@@ -712,7 +713,7 @@ def test_undisplaced_purification_norm_is_exact_tail(nbar):
     cutoff = 60
     vector = schmidt_purification(make_state(nbar, 0j), 0j, cutoff)
     tail = (nbar / (nbar + 1.0)) ** cutoff
-    assert vector.norm() ** 2 == pytest.approx(1.0 - tail, rel=1e-12)
+    assert np.linalg.norm(vector.amplitudes) ** 2 == pytest.approx(1.0 - tail, rel=1e-12)
 
 
 @pytest.mark.parametrize("nbar,alpha,beta", [
@@ -725,7 +726,7 @@ def test_displaced_purification_norm_deficit(nbar, alpha, beta):
     # dominated by displacement-operator truncation rather than the spectral
     # tail s^N; for these parameters it stays below 1e-7.
     vector = schmidt_purification(make_state(nbar, alpha), beta, 60)
-    assert 1.0 - 1e-7 <= vector.norm() <= 1.0 + 1e-12
+    assert 1.0 - 1e-7 <= np.linalg.norm(vector.amplitudes) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("nbar,alpha", [(0.5, 1 + 1j), (1.0, 2.0), (2.0, -1.5j)])
@@ -772,7 +773,7 @@ def test_purification_overlap_matches_closed_form(overlap_probability):
 def test_two_mode_cf_at_origin_is_squared_norm():
     vector = schmidt_purification(make_state(1.0, 1 + 0j), 0.5j, 40)
     assert cf_table(vector, [0j], [0j])[0, 0] == pytest.approx(
-        vector.norm() ** 2, rel=1e-12
+        np.linalg.norm(vector.amplitudes) ** 2, rel=1e-12
     )
 
 

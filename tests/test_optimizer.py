@@ -9,7 +9,7 @@ import pytest
 
 from tcsfidelity import closed_form, optimizer
 from tcsfidelity.closed_form import optimal_beta, tcs_fidelity, thermal_fidelity
-from tcsfidelity.optimizer import maximize_overlap, objective
+from tcsfidelity.optimizer import maximize_overlap
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
 OCCUPANCY_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -25,7 +25,7 @@ def make_state(nbar, alpha):
 # ---------------------------------------------------------------------------
 
 
-def test_objective_at_optimal_beta_is_log_fidelity():
+def test_objective_at_optimal_beta_is_log_fidelity(objective):
     for n1, n2, dalpha in product((0.0, 0.5, 2.0), (0.1, 1.0), (0.5, 1 + 1j)):
         s1 = make_state(n1, 0.2j)
         s2 = make_state(n2, 0.2j + dalpha)
@@ -33,14 +33,14 @@ def test_objective_at_optimal_beta_is_log_fidelity():
         assert abs(value - math.log(tcs_fidelity(s1, s2).value)) < 1e-12
 
 
-def test_objective_pure_states_at_zero_beta():
+def test_objective_pure_states_at_zero_beta(objective):
     s1 = make_state(0.0, 0j)
     for dalpha in (0.5, 1 + 1j, 2j):
         s2 = make_state(0.0, dalpha)
         assert objective(s1, s2, 0j) == pytest.approx(-abs(dalpha) ** 2, rel=1e-14)
 
 
-def test_objective_is_quadratic_along_lines():
+def test_objective_is_quadratic_along_lines(objective):
     rng = np.random.default_rng(41)
     s1 = make_state(0.7, 1 - 0.5j)
     s2 = make_state(1.9, -0.3 + 0.8j)
@@ -115,7 +115,7 @@ def test_common_displacement_independence():
         assert abs(result.value - reference.value) < 1e-12
 
 
-def central_difference_gradient(s1, s2, beta, step=1e-5):
+def central_difference_gradient(objective, s1, s2, beta, step=1e-5):
     """Central-difference gradient of ``objective`` in (Re beta, Im beta)."""
 
     def f(z):
@@ -127,15 +127,15 @@ def central_difference_gradient(s1, s2, beta, step=1e-5):
     ])
 
 
-def test_gradient_small_at_solution():
+def test_gradient_small_at_solution(objective):
     s1 = make_state(0.3, 1j)
     s2 = make_state(2.0, 1.5)
     result = maximize_overlap(s1, s2)
-    grad = central_difference_gradient(s1, s2, result.beta_star)
+    grad = central_difference_gradient(objective, s1, s2, result.beta_star)
     assert np.linalg.norm(grad) <= 1e-6
 
 
-def test_value_never_below_the_objective_at_another_beta():
+def test_value_never_below_the_objective_at_another_beta(objective):
     s1 = make_state(1.0, 0j)
     s2 = make_state(0.5, 2 - 1j)
     result = maximize_overlap(s1, s2)
@@ -181,7 +181,7 @@ def seeded_pairs(count, seed, max_occupancy):
         yield make_state(occupancy(), alpha1), make_state(occupancy(), alpha2)
 
 
-def test_no_step_from_beta_star_raises_the_objective():
+def test_no_step_from_beta_star_raises_the_objective(objective):
     eps = sys.float_info.epsilon
     checked = 0
     for s1, s2 in seeded_pairs(2000, seed=59, max_occupancy=1e8):

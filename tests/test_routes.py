@@ -1,9 +1,13 @@
 """Tests for the route registry: one RouteResult per route, in report order."""
 
+import cmath
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcsfidelity import closed_form, fock_oracle, routes, states
 from tcsfidelity.routes import RouteResult, compare, compute_route
@@ -85,3 +89,38 @@ def test_gaussian_routes_build_their_forms_in_the_frame_of_state_1(monkeypatch, 
     assert specs[0].beta == 0j
     if name == "gaussian_overlap":
         assert specs[1].beta == result.beta_star
+
+
+def polar(max_modulus):
+    return st.builds(cmath.rect, st.floats(0.0, max_modulus), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.floats(0.0, 2.0),
+    n2=st.floats(0.0, 2.0),
+    alpha1=polar(2.0),
+    dalpha=polar(2.0),
+    shift=polar(5.0),
+    angle=st.floats(0.0, 2 * math.pi),
+)
+def test_every_route_is_symmetric_and_invariant(n1, n2, alpha1, dalpha, shift, angle):
+    # Exchanging the states, displacing both by one shift and rotating both by
+    # one phase leave the fidelity alone; each route must follow to round-off.
+    def make(n, alpha):
+        return DisplacedThermalState(ThermalParams(n), alpha)
+
+    def fidelities(state1, state2):
+        results = compare(state1, state2, routes.ROUTES, 80)
+        return {name: result.fidelity for name, result in results.items()}
+
+    alpha2 = alpha1 + dalpha
+    phase = cmath.exp(1j * angle)
+    reference = fidelities(make(n1, alpha1), make(n2, alpha2))
+    for moved in (
+        fidelities(make(n2, alpha2), make(n1, alpha1)),
+        fidelities(make(n1, alpha1 + shift), make(n2, alpha2 + shift)),
+        fidelities(make(n1, alpha1 * phase), make(n2, alpha2 * phase)),
+    ):
+        for name, value in reference.items():
+            assert abs(moved[name] - value) <= 1e-14, name

@@ -12,13 +12,9 @@ from tcsfidelity.states import (
     GaussianForm,
     PurificationSpec,
     ThermalParams,
-    cf_phase_space_vector,
-    gaussian_form_cf,
     mean_occupancy_from_temperature,
     purification_cf,
     purification_gaussian_form,
-    tcs_cf,
-    weyl_compose,
 )
 
 
@@ -28,6 +24,11 @@ def make_state(nbar, alpha):
 
 def make_spec(nbar, alpha, beta):
     return PurificationSpec(ThermalParams(nbar), alpha, beta)
+
+
+def covariance(form):
+    """V = S S^T / 2 of a GaussianForm's symplectic factor S."""
+    return 0.5 * (form.factor @ form.factor.T)
 
 
 # ---------------------------------------------------------------------------
@@ -97,26 +98,26 @@ def test_displaced_state_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_weyl_identity_element():
+def test_weyl_identity_element(weyl_compose):
     phase, total = weyl_compose(1.3 - 0.4j, 0j)
     assert phase == 1.0
     assert total == 1.3 - 0.4j
 
 
-def test_weyl_inverse_element():
+def test_weyl_inverse_element(weyl_compose):
     alpha = 0.7 + 0.2j
     phase, total = weyl_compose(alpha, -alpha)
     assert total == 0j
     assert phase == 1.0
 
 
-def test_weyl_literal_case():
+def test_weyl_literal_case(weyl_compose):
     phase, total = weyl_compose(1.0, 1j)
     assert total == 1 + 1j
     assert phase == pytest.approx(cmath.exp(-1j), abs=1e-15)
 
 
-def test_weyl_phase_unit_modulus():
+def test_weyl_phase_unit_modulus(weyl_compose):
     rng = np.random.default_rng(7)
     for _ in range(200):
         a = complex(*rng.normal(0, 2, 2))
@@ -125,7 +126,7 @@ def test_weyl_phase_unit_modulus():
         assert abs(abs(phase) - 1.0) < 1e-15
 
 
-def test_weyl_associativity_of_phases():
+def test_weyl_associativity_of_phases(weyl_compose):
     rng = np.random.default_rng(11)
     for _ in range(100):
         a, b, c = (complex(*rng.normal(0, 1.5, 2)) for _ in range(3))
@@ -143,8 +144,8 @@ def test_weyl_associativity_of_phases():
 
 
 def test_tcs_cf_normalization():
-    assert tcs_cf(make_state(0.0, 0j), 0j) == 1.0
-    assert tcs_cf(make_state(2.3, 1 - 2j), 0j) == 1.0
+    assert purification_cf(make_spec(0.0, 0j, 0j), 0j, 0j) == 1.0
+    assert purification_cf(make_spec(2.3, 1 - 2j, 0j), 0j, 0j) == 1.0
 
 
 def test_tcs_cf_coherent_state_convention():
@@ -155,25 +156,30 @@ def test_tcs_cf_coherent_state_convention():
         expected = cmath.exp(
             -0.5 * abs(lam) ** 2 + lam * alpha.conjugate() - lam.conjugate() * alpha
         )
-        assert tcs_cf(make_state(0.0, alpha), lam) == pytest.approx(expected, abs=1e-15)
+        assert purification_cf(make_spec(0.0, alpha, 0j), lam, 0j) == pytest.approx(
+            expected, abs=1e-15
+        )
 
 
 def test_tcs_cf_equals_purification_marginal():
-    state = make_state(0.5, 1 + 1j)
-    lam = 0.1
-    for beta in (0j, 2 - 1j, -0.5j):
-        spec = make_spec(0.5, 1 + 1j, beta)
-        assert purification_cf(spec, lam, 0j) == tcs_cf(state, lam)
+    # The lambda2 = 0 marginal is the displaced thermal CF,
+    # exp[-(n + 1/2)|lam|^2 + lam a* - lam* a], whatever beta is.
+    lam, alpha = 0.1, 1 + 1j
+    values = {purification_cf(make_spec(0.5, alpha, beta), lam, 0j)
+              for beta in (0j, 2 - 1j, -0.5j)}
+    assert len(values) == 1
+    expected = cmath.exp(-abs(lam) ** 2 + lam * alpha.conjugate() - lam.conjugate() * alpha)
+    assert values.pop() == pytest.approx(expected, abs=1e-15)
 
 
 def test_cf_marginals_stay_finite_where_the_cross_coefficient_overflows():
     # Past n of about 1.3e154, n (n + 1) overflows; a zero cross term must not
     # become inf * 0 = NaN. |1e-170|^2 underflows to 0, so the value is finite.
-    state = make_state(1e200, 0.5j)
+    reference = make_spec(1e200, 0.5j, 0j)
     spec = make_spec(1e200, 0.5j, 1 + 1j)
-    assert tcs_cf(state, 0j) == purification_cf(spec, 0j, 0j) == 1.0
+    assert purification_cf(reference, 0j, 0j) == purification_cf(spec, 0j, 0j) == 1.0
     for lam in (1e-170, 1e-170j):
-        value = tcs_cf(state, lam)
+        value = purification_cf(reference, lam, 0j)
         assert cmath.isfinite(value)
         assert purification_cf(spec, lam, 0j) == value
 
@@ -271,8 +277,6 @@ def test_purification_cf_modulus_bounded():
 def test_cf_overflow_names_the_argument():
     spec = make_spec(0.5, 0j, 0j)
     huge = complex(1e200, 0.0)
-    with pytest.raises(OverflowError, match=r"^\|lambda\|\^2 overflows for lambda=\(1e\+200"):
-        tcs_cf(make_state(0.5, 0j), huge)
     with pytest.raises(OverflowError, match=r"^\|lambda1\|\^2 overflows for lambda1=\(1e\+200"):
         purification_cf(spec, huge, 0j)
     with pytest.raises(OverflowError, match=r"^\|lambda2\|\^2 overflows for lambda2=1e\+200j$"):
@@ -301,14 +305,14 @@ def test_purification_cf_marginals_ignore_other_mode():
 
 def test_gaussian_form_vacuum():
     form = purification_gaussian_form(make_spec(0.0, 0j, 0j))
-    assert np.array_equal(form.covariance, 0.5 * np.eye(4))
-    assert np.linalg.det(form.covariance) == pytest.approx(1 / 16, abs=1e-15)
+    assert np.array_equal(covariance(form), 0.5 * np.eye(4))
+    assert np.linalg.det(covariance(form)) == pytest.approx(1 / 16, abs=1e-15)
     assert np.array_equal(form.displacement_vector, np.zeros(4))
 
 
 def test_gaussian_form_unit_occupancy():
     form = purification_gaussian_form(make_spec(1.0, 0j, 0j))
-    cov = form.covariance
+    cov = covariance(form)
     root2 = math.sqrt(2.0)
     assert np.allclose(np.diag(cov), 1.5, atol=0)
     assert cov[0, 2] == root2 and cov[2, 0] == root2
@@ -320,10 +324,10 @@ def test_gaussian_form_det_is_pure_over_occupancy_range():
     rng = np.random.default_rng(19)
     for nbar in rng.uniform(0.0, 10.0, 100):
         form = purification_gaussian_form(make_spec(float(nbar), 1 - 1j, 0.5 + 0.5j))
-        assert abs(np.linalg.det(form.covariance) - 1 / 16) < 1e-12
+        assert abs(np.linalg.det(covariance(form)) - 1 / 16) < 1e-12
 
 
-def test_gaussian_form_cf_matches_purification_cf():
+def test_gaussian_form_cf_matches_purification_cf(gaussian_form_cf):
     # Ties the covariance/mean encoding to the complex-argument CF and pins
     # the lambda -> phase-space mapping.
     rng = np.random.default_rng(23)
@@ -338,7 +342,7 @@ def test_gaussian_form_cf_matches_purification_cf():
         )
 
 
-def test_phase_space_vector_convention():
+def test_phase_space_vector_convention(cf_phase_space_vector):
     b = cf_phase_space_vector(1j, 0j)
     assert np.allclose(b, [math.sqrt(2), 0.0, 0.0, 0.0])
     b = cf_phase_space_vector(1.0, 0j)
