@@ -4,7 +4,9 @@ Four mutually validating routes: the closed-form expression, the overlap
 of the optimal two-mode Gaussian purifications, numerical maximization of
 that overlap over the free mode-2 displacement, and a truncated Fock-space
 matrix oracle. ``compute_route`` runs any of them by name, ``compare`` runs
-several side by side, and ``ROUTES`` lists them in report order.
+several side by side, and ``ROUTES`` lists them in report order. Outside the
+routes, the oracle takes a state as a plain array: the factor B of its
+density matrix rho = B B^dag, which ``uhlmann_fidelity`` compares.
 """
 
 from .closed_form import (
@@ -17,8 +19,6 @@ from .closed_form import (
 )
 from .fock_oracle import (
     DEFAULT_CUTOFF,
-    FockMatrix,
-    TwoModeVector,
     displaced_thermal_fidelity,
     displaced_thermal_matrix,
     displacement_matrix,
@@ -30,8 +30,6 @@ from .gaussian_overlap import OverlapResult, pure_overlap
 from .optimizer import OptimizationResult, maximize_overlap, purification_forms
 from .routes import ROUTES, RouteResult, compare, compute_route
 from .states import (
-    BOLTZMANN_K,
-    HBAR,
     DisplacedThermalState,
     GaussianForm,
     PurificationSpec,
@@ -44,21 +42,17 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOLTZMANN_K",
     "DEFAULT_CUTOFF",
-    "HBAR",
     "MAX_OCCUPANCY",
     "ROUTES",
     "DisplacedThermalState",
     "FidelityValue",
-    "FockMatrix",
     "GaussianForm",
     "OptimizationResult",
     "OverlapResult",
     "PurificationSpec",
     "RouteResult",
     "ThermalParams",
-    "TwoModeVector",
     "bures_distance",
     "compare",
     "compute_route",

@@ -185,7 +185,8 @@ class ExitCodeCommand(click.Command):
         try:
             return super().invoke(ctx)
         except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-            _fail(str(exc))
+            # A MemoryError from a failed allocation may carry no message.
+            _fail(str(exc) or type(exc).__name__)
         except ValueError as exc:
             raise click.UsageError(str(exc), ctx) from exc
 

@@ -1,20 +1,19 @@
 """Brute-force verification layer on a truncated Fock basis.
 
-Everything here is dense linear algebra on N x N (or N x N two-mode) arrays:
-density operators, displacement operators built from a Laguerre recurrence
-normalized to the matrix entries (bounded by one, so finite at any cutoff),
-the Bures-Uhlmann fidelity, and Schmidt purifications with their partial
-traces and characteristic functions.
+Everything here is dense linear algebra on N x N arrays: displacement
+operators built from a Laguerre recurrence normalized to the matrix entries
+(bounded by one, so finite at any cutoff), the Bures-Uhlmann fidelity, and
+Schmidt purifications with their characteristic functions.
 
 The fidelity is Uhlmann's maximal transition probability between
 purifications. A density matrix rho = B B^dag is purified by the amplitude
 matrix B, and the maximum over all purifications is the squared nuclear norm
-||B2^dag B1||_*^2. A FockMatrix is held as such a factor, so rho itself is
-formed as B B^dag only when its entries are read. The fidelity therefore
-costs one factor product and one singular-value decomposition, with no density
-product, no matrix square root and no eigenvalue clipping. For two displaced
-thermal states, displaced_thermal_fidelity works in the frame of the first,
-where the cross matrix is real and needs no product at all.
+||B2^dag B1||_*^2. A state is therefore passed as its factor B, a plain
+N x N array, and rho itself is never formed. The fidelity costs one factor
+product and one singular-value decomposition, with no density product, no
+matrix square root and no eigenvalue clipping. For two displaced thermal
+states, displaced_thermal_fidelity works in the frame of the first, where the
+cross matrix is real and needs no product at all.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -26,58 +25,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import DisplacedThermalState, _squared_modulus, _validate_complex
 
 DEFAULT_CUTOFF = 60
-
-
-class FockMatrix:
-    """Density matrix over the number basis truncated at ``cutoff``, held as
-    its purification factor.
-
-    ``factor`` is an N x N matrix B with rho = B B^dag: the amplitude matrix
-    of a purification of the state, which uhlmann_fidelity uses in place of a
-    square root. ``entries``, the density matrix itself, is formed as B B^dag
-    on first access and kept. A caller who holds only rho picks the factor,
-    for example a Cholesky factor or V sqrt(w) from an eigendecomposition
-    with a floor of their choosing.
-    """
-
-    def __init__(self, cutoff: int, *, factor: np.ndarray) -> None:
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        factor = np.asarray(factor, dtype=complex)
-        if factor.shape != (cutoff, cutoff):
-            raise ValueError(f"factor must be {cutoff}x{cutoff}, got {factor.shape}")
-        self.cutoff = cutoff
-        self.factor = factor
-
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        """The density matrix B B^dag, formed once when read."""
-        return self.factor @ self.factor.conj().T
-
-
-@dataclass(frozen=True)
-class TwoModeVector:
-    """Two-mode pure state; amplitudes[n1, n2] over the truncated number basis."""
-
-    cutoff: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.cutoff, self.cutoff):
-            raise ValueError(
-                f"amplitudes must be {self.cutoff}x{self.cutoff}, got {amp.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
 
 
 def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
@@ -247,33 +200,35 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     return _displacement_entries(alpha, cutoff)
 
 
-def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> FockMatrix:
-    """Density matrix D(alpha) rho_thermal D(alpha)^dag, stored as its factor
-    B = D(alpha) sqrt(rho_thermal).
-
-    Building it costs one column scaling of the memoized D(alpha); the N^3
-    product B B^dag runs only if ``entries`` is read.
-    """
+def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> np.ndarray:
+    """Factor B = D(alpha) sqrt(rho_thermal) of the displaced thermal state
+    rho = B B^dag: a new complex array, one column scaling of the memoized
+    D(alpha)."""
     d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
-    return FockMatrix(cutoff, factor=d * np.sqrt(eta))
+    return d * np.sqrt(eta)
 
 
-def uhlmann_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
-    """Bures-Uhlmann fidelity {Tr[(sqrt(rho1) rho2 sqrt(rho1))^(1/2)]}^2.
+def uhlmann_fidelity(factor1: np.ndarray, factor2: np.ndarray) -> float:
+    """Bures-Uhlmann fidelity {Tr[(sqrt(rho1) rho2 sqrt(rho1))^(1/2)]}^2 of
+    the density matrices rho_i = B_i B_i^dag, given their factors B_i.
 
     Evaluated by Uhlmann's theorem as ||B2^dag B1||_*^2, the squared sum of
-    singular values, for any factors rho_i = B_i B_i^dag: B_i = sqrt(rho_i) U_i
-    with U_i unitary, and the nuclear norm is unitarily invariant, so it
-    equals ||sqrt(rho2) sqrt(rho1)||_*. The factors are the ones the inputs
-    carry, so no square root is taken and round-off enters linearly, and
-    rho = B B^dag is never formed: the cost is one factor product and one SVD.
+    singular values, for any factors: B_i = sqrt(rho_i) U_i with U_i unitary,
+    and the nuclear norm is unitarily invariant, so it equals
+    ||sqrt(rho2) sqrt(rho1)||_*. No square root is taken, so round-off enters
+    linearly, and rho = B B^dag is never formed: the cost is one factor
+    product and one SVD. A caller who holds only rho picks the factor, for
+    example a Cholesky factor or V sqrt(w) from an eigendecomposition with a
+    floor of their choosing. Factors that are not square or not of one shape
+    raise ValueError.
     """
-    if rho1.cutoff != rho2.cutoff:
+    shape = factor1.shape
+    if len(shape) != 2 or shape[0] != shape[1] or factor2.shape != shape:
         raise ValueError(
-            f"cutoff mismatch: {rho1.cutoff} vs {rho2.cutoff}"
+            f"factors must be square and of one shape, got {shape} and {factor2.shape}"
         )
-    cross = rho2.factor.conj().T @ rho1.factor
+    cross = factor2.conj().T @ factor1
     singular_values = np.linalg.svd(cross, compute_uv=False)
     return float(np.sum(singular_values) ** 2)
 
@@ -308,34 +263,35 @@ def displaced_thermal_fidelity(
 
 def schmidt_purification(
     state: DisplacedThermalState, beta: complex, cutoff: int
-) -> TwoModeVector:
-    """Truncated Schmidt purification of a displaced thermal state.
+) -> np.ndarray:
+    """Truncated Schmidt purification of a displaced thermal state, as its
+    amplitude array.
 
     amplitudes[m, n] = sum_k sqrt(eta_k) <m|D(alpha)|k> <n|D(beta)|k>, so the
-    mode-1 reduction is the displaced thermal state and the mode-2 reduction
-    carries displacement beta at the same occupancy. The norm falls short of
-    one by the truncation tail s^cutoff. The mode-1 factor D(alpha)
-    sqrt(eta) is the one displaced_thermal_matrix stores.
+    mode-1 reduction amplitudes amplitudes^dag is the displaced thermal state
+    and the mode-2 reduction carries displacement beta at the same occupancy.
+    The norm falls short of one by the truncation tail s^cutoff. The mode-1
+    factor D(alpha) sqrt(eta) is the one displaced_thermal_matrix returns.
     """
-    rho = displaced_thermal_matrix(state, cutoff)
-    return TwoModeVector(cutoff, rho.factor @ displacement_matrix(beta, cutoff).T)
+    factor = displaced_thermal_matrix(state, cutoff)
+    return factor @ displacement_matrix(beta, cutoff).T
 
 
-def cf_table(vector: TwoModeVector, lambdas1, lambdas2) -> np.ndarray:
-    """The characteristic function at every pair, table[i, j] at
-    (lambdas1[i], lambdas2[j]).
+def cf_table(amplitudes: np.ndarray, lambdas1, lambdas2) -> np.ndarray:
+    """The characteristic function of the two-mode amplitude array at every
+    pair, table[i, j] at (lambdas1[i], lambdas2[j]).
 
     Each distinct displacement matrix is built once per call and all are held
     until it returns, 16 * N^2 bytes apiece.
     """
-    amp = vector.amplitudes
+    cutoff = amplitudes.shape[0]
     d = {
-        lam: displacement_matrix(lam, vector.cutoff)
+        lam: displacement_matrix(lam, cutoff)
         for lam in dict.fromkeys([*lambdas1, *lambdas2])
     }
     table = np.empty((len(lambdas1), len(lambdas2)), dtype=complex)
     for i, lambda1 in enumerate(lambdas1):
-        left = d[lambda1] @ amp
+        left = d[lambda1] @ amplitudes
         for j, lambda2 in enumerate(lambdas2):
-            table[i, j] = np.vdot(amp, left @ d[lambda2].T)
+            table[i, j] = np.vdot(amplitudes, left @ d[lambda2].T)
     return table

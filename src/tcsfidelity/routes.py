@@ -50,6 +50,9 @@ def _closed_form(state1, state2, cutoff) -> RouteResult:
 
 
 def _oracle(state1, state2, cutoff) -> RouteResult:
+    # The cap of the other routes, so that every route accepts one domain.
+    closed_form._check_occupancy(state1.mean_occupancy, "n1")
+    closed_form._check_occupancy(state2.mean_occupancy, "n2")
     # First, so that the cutoff is checked before s**cutoff could divide by 0.
     fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}

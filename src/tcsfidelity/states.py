@@ -24,9 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HBAR = 1.0
-BOLTZMANN_K = 1.0
-
 _SQRT2 = math.sqrt(2.0)
 
 #: Symplectic form of the quadratures (x1, p1, x2, p2).
@@ -40,34 +37,9 @@ _OMEGA = np.array(
 )
 
 
-def mean_occupancy_from_temperature(
-    temperature: float | None = None,
-    angular_frequency: float | None = None,
-    *,
-    ratio: float | None = None,
-) -> float:
-    """Mean occupancy of a thermal mode, 1 / (exp(hbar w / k_B T) - 1).
-
-    Units are natural, hbar = k_B = 1: ``temperature`` is k_B T and
-    ``angular_frequency`` is hbar w, both in one energy unit of the caller's
-    choosing, not kelvin and rad/s (T = 1, w = ln 2 gives n = 1). Accepts
-    either that pair or the dimensionless ratio hbar*w / (k_B*T) directly via
-    the ``ratio`` keyword.
-    """
-    if ratio is None:
-        if temperature is None or angular_frequency is None:
-            raise ValueError(
-                "give both temperature and angular_frequency, or ratio alone"
-            )
-        if not (math.isfinite(temperature) and temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        if not (math.isfinite(angular_frequency) and angular_frequency > 0.0):
-            raise ValueError(
-                f"angular_frequency must be positive, got {angular_frequency}"
-            )
-        ratio = HBAR * angular_frequency / (BOLTZMANN_K * temperature)
-    elif temperature is not None or angular_frequency is not None:
-        raise ValueError("ratio excludes temperature/angular_frequency arguments")
+def mean_occupancy_from_temperature(ratio: float) -> float:
+    """Mean occupancy of a thermal mode, 1 / (exp(ratio) - 1), from the
+    dimensionless ratio hbar w / (k_B T)."""
     if not (math.isfinite(ratio) and ratio > 0.0):
         raise ValueError(f"hbar*w/(k_B*T) ratio must be positive, got {ratio}")
     try:
@@ -80,31 +52,15 @@ def mean_occupancy_from_temperature(
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Thermal occupation of one bosonic mode, optionally tagged with its origin.
-
-    ``temperature`` and ``angular_frequency`` are kept only as provenance
-    when the occupancy was derived from them; the physics below never reads
-    them. They are in natural units, hbar = k_B = 1, as
-    mean_occupancy_from_temperature takes them: k_B T and hbar w in one
-    energy unit, not kelvin and rad/s.
-    """
+    """Thermal occupation of one bosonic mode."""
 
     mean_occupancy: float
-    temperature: float | None = None
-    angular_frequency: float | None = None
 
     def __post_init__(self) -> None:
         n = self.mean_occupancy
         if not (isinstance(n, (int, float)) and math.isfinite(n) and n >= 0.0):
             raise ValueError(f"mean_occupancy must be finite and >= 0, got {n!r}")
         object.__setattr__(self, "mean_occupancy", float(n))
-
-    @classmethod
-    def from_temperature(
-        cls, temperature: float, angular_frequency: float
-    ) -> "ThermalParams":
-        n = mean_occupancy_from_temperature(temperature, angular_frequency)
-        return cls(n, temperature=temperature, angular_frequency=angular_frequency)
 
     @property
     def s(self) -> float:

@@ -501,6 +501,9 @@ EXIT_CODE_TABLE = [
     (["fidelity", "--n1", "1e9", "--route", "purification-optimized"], 2,
      "Error: n1=1000000000.0 exceeds the supported range (max 1e+08); "
      "double precision breaks down beyond it"),
+    (["fidelity", "--n1", "1e9", "--route", "oracle"], 2,
+     "Error: n1=1000000000.0 exceeds the supported range (max 1e+08); "
+     "double precision breaks down beyond it"),
     (["cf-grid", "--n", "-1"], 2, "Error: mean_occupancy must be finite and >= 0, got -1.0"),
     (["cf-grid", "--temp-ratio", "-2"], 2,
      "Error: hbar*w/(k_B*T) ratio must be positive, got -2.0"),
@@ -589,18 +592,22 @@ def test_library_failures_follow_the_exit_codes(runner, args, code, last_line):
 ], ids=["fidelity", "cf-grid"])
 def test_out_of_memory_is_a_numerical_failure(runner, monkeypatch, layer, args):
     # Raised in place of the allocation, which could succeed under overcommit
-    # and get the process killed later.
+    # and get the process killed later. A bare MemoryError carries no
+    # message, so its line names the type.
     message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+    for error, line in [
+        (MemoryError(message), f"error: {message}"),
+        (MemoryError(), "error: MemoryError"),
+    ]:
+        def refuse(*_):
+            raise error
 
-    def refuse(*_):
-        raise MemoryError(message)
-
-    monkeypatch.setattr(fock_oracle, layer, refuse)
-    result = invoke(runner, *args)
-    assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == f"error: {message}\n"
-    assert isinstance(result.exception, SystemExit)
+        monkeypatch.setattr(fock_oracle, layer, refuse)
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"{line}\n"
+        assert isinstance(result.exception, SystemExit)
 
 
 def test_every_command_maps_library_failures():

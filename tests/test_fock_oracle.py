@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 import threading
 
@@ -18,8 +19,6 @@ from tcsfidelity.closed_form import (
     tcs_fidelity,
 )
 from tcsfidelity.fock_oracle import (
-    FockMatrix,
-    TwoModeVector,
     cf_table,
     displaced_thermal_fidelity,
     displaced_thermal_matrix,
@@ -155,17 +154,22 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def square_root_fidelity(rho1: FockMatrix, rho2: FockMatrix) -> float:
-    """Fidelity as the nuclear norm of sqrt(rho2) sqrt(rho1), both square
-    roots from eigendecompositions: the reference uhlmann_fidelity must agree
-    with."""
-    cross = _psd_sqrt(rho2.entries) @ _psd_sqrt(rho1.entries)
+def density(factor: np.ndarray) -> np.ndarray:
+    """The density matrix B B^dag of a purification factor B."""
+    return factor @ factor.conj().T
+
+
+def square_root_fidelity(factor1: np.ndarray, factor2: np.ndarray) -> float:
+    """Fidelity as the nuclear norm of sqrt(rho2) sqrt(rho1), rho_i formed
+    from the factors and both square roots from eigendecompositions: the
+    reference uhlmann_fidelity must agree with."""
+    cross = _psd_sqrt(density(factor2)) @ _psd_sqrt(density(factor1))
     return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
 
 
 def eager_displaced_thermal_entries(state, cutoff: int) -> np.ndarray:
-    """rho = (d * eta) d^dag, as displaced_thermal_matrix formed it eagerly:
-    the reference for the entries it now forms as B B^dag on demand."""
+    """rho = (d * eta) d^dag, formed without the factor: the reference for
+    B B^dag of the factor displaced_thermal_matrix returns."""
     d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
     return (d * eta) @ d.conj().T
@@ -188,20 +192,21 @@ def random_state_pairs(seed, count):
 
 
 def test_thermal_matrix_vacuum():
-    rho = displaced_thermal_matrix(make_state(0.0, 0j), 5)
+    rho = density(displaced_thermal_matrix(make_state(0.0, 0j), 5))
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 0] = 1.0
-    assert np.array_equal(rho.entries, expected)
+    assert np.array_equal(rho, expected)
 
 
 def test_thermal_matrix_unit_occupancy_entries():
     # D(0) is the identity, so the factor is diag(sqrt(eta)) exactly.
-    rho = displaced_thermal_matrix(make_state(1.0, 0j), 12)
+    factor = displaced_thermal_matrix(make_state(1.0, 0j), 12)
     eta = thermal_spectrum(1.0, 12)
     for j in range(12):
         assert eta[j] == 0.5 * 0.5**j
-    assert np.array_equal(rho.factor, np.diag(np.sqrt(eta)))
-    off_diagonal = rho.entries - np.diag(np.diagonal(rho.entries))
+    assert np.array_equal(factor, np.diag(np.sqrt(eta)))
+    rho = density(factor)
+    off_diagonal = rho - np.diag(np.diagonal(rho))
     assert np.count_nonzero(off_diagonal) == 0
 
 
@@ -464,14 +469,14 @@ def test_displacement_composition_law(weyl_compose):
 
 
 def test_displaced_thermal_zero_displacement():
-    rho = displaced_thermal_matrix(make_state(1.5, 0j), 30)
-    assert np.array_equal(rho.factor, np.diag(np.sqrt(thermal_spectrum(1.5, 30))))
+    factor = displaced_thermal_matrix(make_state(1.5, 0j), 30)
+    assert np.array_equal(factor, np.diag(np.sqrt(thermal_spectrum(1.5, 30))))
 
 
 def test_displaced_vacuum_is_coherent_projector():
-    rho = displaced_thermal_matrix(make_state(0.0, 1 + 0j), 40)
-    assert rho.entries[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-    eigenvalues = np.linalg.eigvalsh(rho.entries)
+    rho = density(displaced_thermal_matrix(make_state(0.0, 1 + 0j), 40))
+    assert rho[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    eigenvalues = np.linalg.eigvalsh(rho)
     assert eigenvalues[-1] == pytest.approx(1.0, abs=1e-10)
     assert abs(eigenvalues[-2]) < 1e-10
 
@@ -481,16 +486,16 @@ def test_displaced_thermal_entries_match_eager_reference(cutoff):
     # B B^dag rounds differently from (d * eta) d^dag; measured max 1.1e-16.
     for pair in random_state_pairs([cutoff, 1], 17):
         for state in pair:
-            rho = displaced_thermal_matrix(state, cutoff)
+            rho = density(displaced_thermal_matrix(state, cutoff))
             reference = eager_displaced_thermal_entries(state, cutoff)
-            assert np.max(np.abs(rho.entries - reference)) <= 1e-15
+            assert np.max(np.abs(rho - reference)) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5 - 1.2j, 2j])
 def test_displacement_preserves_thermal_spectrum(alpha):
     n = 60
-    rho = displaced_thermal_matrix(make_state(1.0, alpha), n)
-    eigenvalues = np.sort(np.linalg.eigvalsh(rho.entries))[::-1]
+    rho = density(displaced_thermal_matrix(make_state(1.0, alpha), n))
+    eigenvalues = np.sort(np.linalg.eigvalsh(rho))[::-1]
     expected = thermal_spectrum(1.0, 20)
     assert np.max(np.abs(eigenvalues[:20] - expected)) < 1e-8
 
@@ -526,7 +531,7 @@ def test_uhlmann_symmetry():
 def test_uhlmann_pure_state_reduces_to_trace_product():
     rho1 = displaced_thermal_matrix(make_state(0.0, 0.8 - 0.2j), 50)
     rho2 = displaced_thermal_matrix(make_state(1.2, 0.1 + 0.4j), 50)
-    trace_product = float(np.trace(rho1.entries @ rho2.entries).real)
+    trace_product = float(np.trace(density(rho1) @ density(rho2)).real)
     assert abs(uhlmann_fidelity(rho1, rho2) - trace_product) < 1e-10
 
 
@@ -550,16 +555,15 @@ def test_uhlmann_matches_square_root_reference(cutoff):
         assert abs(uhlmann_fidelity(rho1, rho2) - reference) <= 1e-8
 
 
-def test_constructors_factor_their_density_matrices():
-    state = make_state(0.8, 0.6 - 1.1j)
-    matrices = [
-        displaced_thermal_matrix(make_state(1.3, 0j), 30),
-        displaced_thermal_matrix(state, 30),
-        FockMatrix(30, factor=schmidt_purification(state, 0.2 + 0.5j, 30).amplitudes),
-    ]
-    for rho in matrices:
-        assert rho.factor is not None
-        assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.entries)) < 1e-15
+def test_displaced_thermal_matrix_is_the_scaled_displacement():
+    # D(alpha) sqrt(eta), column by column, at a complex alpha.
+    state, cutoff = make_state(0.8, 0.6 - 1.1j), 30
+    expected = displacement_matrix(state.displacement, cutoff) * np.sqrt(
+        thermal_spectrum(state.mean_occupancy, cutoff)
+    )
+    factor = displaced_thermal_matrix(state, cutoff)
+    assert factor.dtype == complex
+    assert factor.tobytes() == expected.tobytes()
 
 
 def test_uhlmann_of_partial_traces_matches_displaced_thermal_pair():
@@ -567,12 +571,10 @@ def test_uhlmann_of_partial_traces_matches_displaced_thermal_pair():
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
     vector1 = schmidt_purification(state1, 0.4 - 0.6j, cutoff)
     vector2 = schmidt_purification(state2, -0.2 + 0.1j, cutoff)
-    reduced1 = FockMatrix(cutoff, factor=vector1.amplitudes)
-    reduced2 = FockMatrix(cutoff, factor=vector2.amplitudes)
     direct = uhlmann_fidelity(
         displaced_thermal_matrix(state1, cutoff), displaced_thermal_matrix(state2, cutoff)
     )
-    assert abs(uhlmann_fidelity(reduced1, reduced2) - direct) <= 1e-10
+    assert abs(uhlmann_fidelity(vector1, vector2) - direct) <= 1e-10
 
 
 def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
@@ -588,18 +590,12 @@ def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
 
 
 def test_oracle_forms_no_density_product(monkeypatch):
-    # A factor-only FockMatrix memoizes B B^dag in its instance dict once
-    # ``entries`` is read; uhlmann_fidelity must never read it.
+    # The route, in the frame of state 1, builds no displaced thermal factor
+    # at all: it takes one displacement matrix, at the real |alpha2 - alpha1|.
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
-    rho1, rho2 = displaced_thermal_matrix(state1, 40), displaced_thermal_matrix(state2, 40)
-    assert 0.0 < uhlmann_fidelity(rho1, rho2) < 1.0
-    for rho in (rho1, rho2):
-        assert "entries" not in vars(rho)
 
-    # The route, in the frame of state 1, builds no FockMatrix at all: it
-    # takes one displacement matrix, at the real |alpha2 - alpha1|.
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle route built a FockMatrix")
+        raise AssertionError("the oracle route built a displaced thermal factor")
 
     arguments = []
 
@@ -607,7 +603,7 @@ def test_oracle_forms_no_density_product(monkeypatch):
         arguments.append(alpha)
         return displacement_matrix(alpha, cutoff)
 
-    monkeypatch.setattr(fock_oracle, "FockMatrix", refuse)
+    monkeypatch.setattr(fock_oracle, "displaced_thermal_matrix", refuse)
     monkeypatch.setattr(fock_oracle, "displacement_matrix", recording)
     # The golden ``fidelity --all-routes`` pair.
     assert 0.0 < routes.compute_route("oracle", state1, state2, 80).fidelity < 1.0
@@ -698,14 +694,14 @@ def test_purification_amplitudes_are_the_displaced_thermal_factor(alpha):
         beta, cutoff
     ).T
     vector = schmidt_purification(state, beta, cutoff)
-    assert vector.amplitudes.tobytes() == expected.tobytes()
+    assert vector.tobytes() == expected.tobytes()
 
 
 def test_purification_of_vacuum():
     vector = schmidt_purification(make_state(0.0, 0j), 0j, 8)
     expected = np.zeros((8, 8), dtype=complex)
     expected[0, 0] = 1.0
-    assert np.array_equal(vector.amplitudes, expected)
+    assert np.array_equal(vector, expected)
 
 
 @pytest.mark.parametrize("nbar", [0.3, 1.0, 2.0])
@@ -713,7 +709,7 @@ def test_undisplaced_purification_norm_is_exact_tail(nbar):
     cutoff = 60
     vector = schmidt_purification(make_state(nbar, 0j), 0j, cutoff)
     tail = (nbar / (nbar + 1.0)) ** cutoff
-    assert np.linalg.norm(vector.amplitudes) ** 2 == pytest.approx(1.0 - tail, rel=1e-12)
+    assert np.linalg.norm(vector) ** 2 == pytest.approx(1.0 - tail, rel=1e-12)
 
 
 @pytest.mark.parametrize("nbar,alpha,beta", [
@@ -726,7 +722,7 @@ def test_displaced_purification_norm_deficit(nbar, alpha, beta):
     # dominated by displacement-operator truncation rather than the spectral
     # tail s^N; for these parameters it stays below 1e-7.
     vector = schmidt_purification(make_state(nbar, alpha), beta, 60)
-    assert 1.0 - 1e-7 <= np.linalg.norm(vector.amplitudes) <= 1.0 + 1e-12
+    assert 1.0 - 1e-7 <= np.linalg.norm(vector) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("nbar,alpha", [(0.5, 1 + 1j), (1.0, 2.0), (2.0, -1.5j)])
@@ -734,27 +730,23 @@ def test_partial_trace_recovers_displaced_thermal(nbar, alpha):
     cutoff = 60
     state = make_state(nbar, alpha)
     vector = schmidt_purification(state, 0.4 - 0.6j, cutoff)
-    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
-    expected = displaced_thermal_matrix(state, cutoff)
-    assert np.linalg.norm(reduced.entries - expected.entries) < 1e-8
-    amp = vector.amplitudes
-    assert np.array_equal(reduced.entries, amp @ amp.conj().T)
+    reduced = density(vector)
+    expected = density(displaced_thermal_matrix(state, cutoff))
+    assert np.linalg.norm(reduced - expected) < 1e-8
 
 
 def test_partial_trace_of_product_state():
     cutoff = 6
     left = np.array([1.0, 1j, 0, 0, 0, 0]) / math.sqrt(2)
     right = np.array([0, 1.0, 0, 0, 0, 0], dtype=complex)
-    vector = TwoModeVector(cutoff, np.outer(left, right))
-    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
-    assert np.allclose(reduced.entries, np.outer(left, left.conj()), atol=1e-15)
+    reduced = density(np.outer(left, right))
+    assert np.allclose(reduced, np.outer(left, left.conj()), atol=1e-15)
 
 
 def test_partial_trace_of_uniform_schmidt_vector():
     cutoff = 8
-    vector = TwoModeVector(cutoff, np.eye(cutoff, dtype=complex) / math.sqrt(cutoff))
-    reduced = FockMatrix(cutoff, factor=vector.amplitudes)
-    assert np.allclose(reduced.entries, np.eye(cutoff) / cutoff, atol=1e-15)
+    reduced = density(np.eye(cutoff, dtype=complex) / math.sqrt(cutoff))
+    assert np.allclose(reduced, np.eye(cutoff) / cutoff, atol=1e-15)
 
 
 def test_purification_overlap_matches_closed_form(overlap_probability):
@@ -764,7 +756,7 @@ def test_purification_overlap_matches_closed_form(overlap_probability):
     beta = optimal_beta(s1, s2)
     v1 = schmidt_purification(s1, 0j, cutoff)
     v2 = schmidt_purification(s2, beta, cutoff)
-    inner = np.vdot(v1.amplitudes, v2.amplitudes)
+    inner = np.vdot(v1, v2)
     reference = PurificationSpec(s1.thermal, s1.displacement, 0j)
     free = PurificationSpec(s2.thermal, s2.displacement, beta)
     assert abs(abs(inner) ** 2 - overlap_probability(reference, free)) < 1e-6
@@ -773,7 +765,7 @@ def test_purification_overlap_matches_closed_form(overlap_probability):
 def test_two_mode_cf_at_origin_is_squared_norm():
     vector = schmidt_purification(make_state(1.0, 1 + 0j), 0.5j, 40)
     assert cf_table(vector, [0j], [0j])[0, 0] == pytest.approx(
-        np.linalg.norm(vector.amplitudes) ** 2, rel=1e-12
+        np.linalg.norm(vector) ** 2, rel=1e-12
     )
 
 
@@ -781,25 +773,23 @@ def test_two_mode_cf_vacuum():
     cutoff = 30
     amplitudes = np.zeros((cutoff, cutoff), dtype=complex)
     amplitudes[0, 0] = 1.0
-    vector = TwoModeVector(cutoff, amplitudes)
     for lam in (0.5, 1j, 0.6 - 0.3j):
-        assert cf_table(vector, [lam], [0j])[0, 0] == pytest.approx(
+        assert cf_table(amplitudes, [lam], [0j])[0, 0] == pytest.approx(
             math.exp(-abs(lam) ** 2 / 2), rel=1e-12
         )
 
 
 def test_cf_table_equals_pointwise_expression():
-    vector = schmidt_purification(make_state(0.7, 0.4 - 0.9j), 0.2 + 0.5j, 24)
+    amp = schmidt_purification(make_state(0.7, 0.4 - 0.9j), 0.2 + 0.5j, 24)
     lambdas1 = [0j, 0.5, -0.3 + 0.8j]
     lambdas2 = [0.5, 1j, 0.6 - 0.6j, 0j]
-    table = cf_table(vector, lambdas1, lambdas2)
-    amp = vector.amplitudes
+    table = cf_table(amp, lambdas1, lambdas2)
     for i, lam1 in enumerate(lambdas1):
         for j, lam2 in enumerate(lambdas2):
             d1 = displacement_matrix(lam1, 24)
             d2 = displacement_matrix(lam2, 24)
             assert table[i, j] == np.vdot(amp, d1 @ amp @ d2.T)
-            assert cf_table(vector, [lam1], [lam2])[0, 0] == table[i, j]
+            assert cf_table(amp, [lam1], [lam2])[0, 0] == table[i, j]
 
 
 def test_two_mode_cf_matches_closed_form():
@@ -813,23 +803,11 @@ def test_two_mode_cf_matches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# container validation
+# input validation
 # ---------------------------------------------------------------------------
 
 
-def test_fock_matrix_validation():
-    with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
-        FockMatrix(0, factor=np.zeros((0, 0)))
-    with pytest.raises(ValueError, match=r"^factor must be 3x3, got \(2, 2\)$"):
-        FockMatrix(3, factor=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match=r"^factor must be 3x3, got \(3, 2\)$"):
-        FockMatrix(3, factor=np.zeros((3, 2)))
-    # The factor is keyword-only and required: a density matrix passed
-    # positionally must not be taken for its factor.
-    with pytest.raises(TypeError):
-        FockMatrix(3, np.eye(3))
-    with pytest.raises(TypeError):
-        FockMatrix(3)
+def test_displacement_matrix_validation():
     for alpha in (complex(math.nan, 0), complex(0, math.inf)):
         with pytest.raises(ValueError, match="alpha must be finite"):
             displacement_matrix(alpha, 5)
@@ -839,6 +817,14 @@ def test_fock_matrix_validation():
                 displacement_matrix(alpha, cutoff)
 
 
-def test_two_mode_vector_validation():
-    with pytest.raises(ValueError):
-        TwoModeVector(3, np.zeros((3, 2)))
+@pytest.mark.parametrize("shape1, shape2", [
+    ((3, 2), (3, 2)),
+    ((2, 3), (2, 3)),
+    ((3,), (3,)),
+    ((3, 3), (3, 2)),
+    ((2, 2, 2), (2, 2, 2)),
+])
+def test_uhlmann_rejects_non_square_factors(shape1, shape2):
+    message = f"factors must be square and of one shape, got {shape1} and {shape2}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        uhlmann_fidelity(np.ones(shape1, dtype=complex), np.ones(shape2, dtype=complex))
