@@ -366,12 +366,24 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
         for v2 in n2
         for d in dalpha
     )
+    # The points run grouped by dalpha, so that each D(|dalpha|) is built once
+    # however many dalpha the grid has: the displacement memo holds only 8. A
+    # failure that ExitCodeCommand maps is raised where the row order reaches
+    # it, as if the points had run in that order.
+    outcomes = [None] * len(points)
+    for i in sorted(range(len(points)), key=lambda i: points[i][2:]):
+        v1, v2, d_re, d_im = points[i]
+        try:
+            state1 = _build_state(v1, alpha1)
+            state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
+            # The closed form is the reference, run once even when it is selected.
+            outcomes[i] = routes.compare(state1, state2, ["closed_form", *selected], cutoff)
+        except (ArithmeticError, MemoryError, ValueError) as error:
+            outcomes[i] = error
     rows = []
-    for v1, v2, d_re, d_im in points:
-        state1 = _build_state(v1, alpha1)
-        state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
-        # The closed form is the reference, run once even when it is selected.
-        results = routes.compare(state1, state2, ["closed_form", *selected], cutoff)
+    for (v1, v2, d_re, d_im), results in zip(points, outcomes):
+        if isinstance(results, Exception):
+            raise results
         closed_value = results["closed_form"].fidelity
         for name in selected:
             value = results[name].fidelity

@@ -463,6 +463,38 @@ def test_sweep_closed_form_failure_maps_like_fidelity(runner):
     assert error_line in single.stderr
 
 
+def test_sweep_builds_each_displacement_once(runner, monkeypatch):
+    # Nine distinct dalpha, one more than the displacement memo holds: run in
+    # row order, (n1, n2, dalpha), the memo would cycle and refill D(|dalpha|)
+    # at every one of the 36 points.
+    fills = []
+    fill = fock_oracle._fill_entries
+    monkeypatch.setattr(
+        fock_oracle, "_fill_entries", lambda *args: fills.append(args[0]) or fill(*args)
+    )
+    dalpha = ";".join(f"{k / 10!r},0" for k in range(1, 10))
+    result = invoke(
+        runner, "sweep", "--n1", "0,1", "--n2", "0,1", "--dalpha", dalpha,
+        "--routes", "oracle", "--cutoff", "20",
+    )
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 1 + 36
+    assert len(fills) == len(set(fills)) == 9
+
+
+def test_sweep_raises_the_first_failure_in_row_order(runner):
+    # The dalpha = 1 group runs first, and its point at n2 = 1e9 is outside
+    # the occupancy cap; but (0, 0, 40) comes first in row order, so its
+    # underflow is the failure reported.
+    result = invoke(
+        runner, "sweep", "--n1", "0", "--n2", "0,1e9", "--dalpha", "1,0;40,0",
+        "--routes", "closed-form",
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "error: fidelity underflows double precision at |a1 - a2| = 40" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # bures
 # ---------------------------------------------------------------------------

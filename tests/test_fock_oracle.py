@@ -632,6 +632,76 @@ def test_oracle_frame_matches_uhlmann_of_the_undisplaced_pair():
     assert abs(displaced_thermal_fidelity(state1, state2, 60) - direct) <= 1e-15
 
 
+def full_squared_nuclear_norm(d, eta1, eta2):
+    """||sqrt(eta1) d sqrt(eta2)||_*^2 from one SVD of the whole matrix."""
+    cross = np.sqrt(eta1)[:, None] * d * np.sqrt(eta2)
+    return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 60),
+    s1=st.floats(0.0, 0.95) | st.just(1.0),
+    s2=st.floats(0.0, 0.95) | st.just(1.0),
+    band=st.floats(0.0, 1.0),
+    scale=st.sampled_from([0.0, 1e-120, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_nuclear_norm_meets_the_full_svd(n, s1, s2, band, scale, seed):
+    # Weights s^j grade the rows and columns, and entries fall off as
+    # band^|i - j| away from the diagonal, as a displacement matrix's do;
+    # s = 1 leaves the weights flat, so that nothing is pruned, and scale 0 is
+    # the all-zero matrix. At scale 1e-120 the largest squared row norm is
+    # below the floor under which squares may underflow, and nothing is pruned.
+    index = np.arange(n)
+    d = np.random.default_rng(seed).standard_normal((n, n))
+    d *= scale * band ** np.abs(index[:, None] - index)
+    eta1, eta2 = s1**index, s2**index
+    full = full_squared_nuclear_norm(d, eta1, eta2)
+    pruned = fock_oracle._squared_nuclear_norm(d, eta1, eta2)
+    assert abs(pruned - full) <= 8 * np.finfo(float).eps * full
+
+
+def test_pruning_keeps_the_rows_whose_squares_underflow():
+    # The last entry carries 1e-14 of the nuclear norm, but its square,
+    # 1e-328, underflows to 0: counted as zero, it would be pruned, and the
+    # value would come out 2e-14 too small.
+    d, ones = np.diag([1e-150, 0.0, 1e-164]), np.ones(3)
+    pruned = fock_oracle._squared_nuclear_norm(d, ones, ones)
+    assert pruned == full_squared_nuclear_norm(d, ones, ones)
+
+
+@pytest.mark.parametrize("n1, n2, dalpha, size", [
+    # The golden pair: the last row's norm is 1.6e-26, far below eps.
+    (1.0, 0.5, 1.0 + 1.0j, 55),
+    # s1 = 10/11, s2 = 5/6: the last row's norm is 4.7e-6, and nothing is pruned.
+    (10.0, 5.0, 1.0, 80),
+])
+def test_oracle_takes_the_svd_of_the_leading_block(monkeypatch, n1, n2, dalpha, size):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    alpha1 = 0.3 - 0.2j
+    value = displaced_thermal_fidelity(make_state(n1, alpha1), make_state(n2, alpha1 + dalpha), 80)
+    assert shapes == [(size, size)]
+    d = displacement_matrix(abs(dalpha), 80).real
+    full = full_squared_nuclear_norm(d, thermal_spectrum(n1, 80), thermal_spectrum(n2, 80))
+    assert abs(value - full) <= 8 * np.finfo(float).eps * full
+
+
+def test_oracle_at_a_large_cutoff_meets_closed_form():
+    # At N = 1000 the route takes the SVD of the same 55 x 55 block as at
+    # N = 80, and the golden pair stays on the closed form.
+    state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
+    value = displaced_thermal_fidelity(state1, state2, 1000)
+    assert abs(value - tcs_fidelity(state1, state2).value) <= 1e-14
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n1=st.floats(0.0, 2.0),
@@ -736,17 +806,37 @@ def test_partial_trace_recovers_displaced_thermal(nbar, alpha):
 
 
 def test_partial_trace_of_product_state():
+    # The CF of a product state factors into its one-mode CFs; at lambda2 = 0
+    # it is the CF of the mode-1 reduction |left><left|, as <right|right> = 1.
     cutoff = 6
     left = np.array([1.0, 1j, 0, 0, 0, 0]) / math.sqrt(2)
-    right = np.array([0, 1.0, 0, 0, 0, 0], dtype=complex)
-    reduced = density(np.outer(left, right))
-    assert np.allclose(reduced, np.outer(left, left.conj()), atol=1e-15)
+    right = np.array([0.6, 0, 0.8j, 0, 0, 0])
+    lambdas1, lambdas2 = [0j, 0.5, -0.3 + 0.8j], [0j, 1j, 0.6 - 0.6j]
+
+    def one_mode_cf(vector, lam):
+        return np.vdot(vector, displacement_matrix(lam, cutoff) @ vector)
+
+    table = cf_table(np.outer(left, right), lambdas1, lambdas2)
+    expected = [[one_mode_cf(left, l1) * one_mode_cf(right, l2) for l2 in lambdas2]
+                for l1 in lambdas1]
+    assert np.allclose(table, expected, rtol=0, atol=1e-15)
+    assert table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_partial_trace_of_uniform_schmidt_vector():
+    # The CF of sum_k |k>|k> / sqrt(N) is tr(D(lambda1) D(lambda2)^T) / N;
+    # at lambda2 = 0 it is tr(D(lambda1)) / N, the CF of the maximally mixed
+    # reduction I / N.
     cutoff = 8
-    reduced = density(np.eye(cutoff, dtype=complex) / math.sqrt(cutoff))
-    assert np.allclose(reduced, np.eye(cutoff) / cutoff, atol=1e-15)
+    lambdas1, lambdas2 = [0j, 0.5, -0.3 + 0.8j], [0j, 1j, 0.6 - 0.6j]
+    table = cf_table(np.eye(cutoff, dtype=complex) / math.sqrt(cutoff), lambdas1, lambdas2)
+    expected = [
+        [np.trace(displacement_matrix(l1, cutoff) @ displacement_matrix(l2, cutoff).T) / cutoff
+         for l2 in lambdas2]
+        for l1 in lambdas1
+    ]
+    assert np.allclose(table, expected, rtol=0, atol=1e-15)
+    assert table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_purification_overlap_matches_closed_form(overlap_probability):
