@@ -10,6 +10,7 @@ Every command is an ``ExitCodeCommand``, which maps library exceptions to them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -67,7 +68,10 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError("grid count must be >= 1")
     if count == 1 and start != stop:
         raise ValueError("a single-point grid needs start == stop")
-    return [float(x) for x in np.linspace(start, stop, count)]
+    try:
+        return [float(x) for x in np.linspace(start, stop, count)]
+    except MemoryError as exc:
+        raise MemoryError(f"grid {text!r} does not fit in memory: {exc}") from None
 
 
 def _parse_real_list(text: str) -> list[float]:
@@ -172,23 +176,35 @@ def _state_options(command):
     return command
 
 
+@contextlib.contextmanager
+def _exit_codes(ctx: click.Context):
+    """Map the library failures raised inside to ExitCodeCommand's exit codes."""
+    try:
+        yield
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+        # A MemoryError from a failed allocation may carry no message.
+        _fail(str(exc) or type(exc).__name__)
+    except ValueError as exc:
+        raise click.UsageError(str(exc), ctx) from exc
+
+
 class ExitCodeCommand(click.Command):
     """A command whose library failures follow the exit codes.
 
     Numerical failures (ArithmeticError, numpy.linalg.LinAlgError) and a
-    MemoryError, as from a cutoff whose matrices do not fit, exit 1 with an
-    ``error:`` line; any other ValueError is an input outside the library's
-    domain, a usage error that exits 2.
+    MemoryError, as from a cutoff whose matrices do not fit or a grid count
+    whose values do not, exit 1 with an ``error:`` line; any other ValueError
+    is an input outside the library's domain, a usage error that exits 2.
+    Failures while the flags are read map the same way as in the command.
     """
 
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        with _exit_codes(ctx):
+            return super().parse_args(ctx, args)
+
     def invoke(self, ctx: click.Context):
-        try:
+        with _exit_codes(ctx):
             return super().invoke(ctx)
-        except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-            # A MemoryError from a failed allocation may carry no message.
-            _fail(str(exc) or type(exc).__name__)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
 
 
 @click.group()

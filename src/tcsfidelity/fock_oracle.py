@@ -176,6 +176,31 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _real_displacement(radius: float, n: int) -> np.ndarray:
+    """Read-only entries of D(radius) truncated at ``n`` for a real
+    radius >= 0, as the real array they are, memoized per (radius, n) at
+    8 * N^2 bytes apiece.
+
+    At real alpha = radius the phase of entry (k, l) is +1 at k >= l and
+    (-1)^(l-k) above the diagonal, so one product of the scratch table with
+    those signs allocates D itself: every entry equals the real part of
+    displacement_matrix(radius, n), which holds it exactly.
+    """
+    if radius == 0:
+        out = np.eye(n)
+    else:
+        # The sign of entry (k, l) is signs[n - 1 - k + l], as in _toeplitz.
+        signs = np.ones(2 * n - 1)
+        signs[n::2] = -1.0
+        # x as _squared_modulus rounds it: radius * radius is a different
+        # double for some radii.
+        with _SCRATCH_LOCK:
+            out = np.multiply(_toeplitz(signs, n), _fill_entries(radius**2, radius, n))
+    out.flags.writeable = False
+    return out
+
+
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Entries of the displacement operator D(alpha) on the truncated basis.
 
@@ -191,7 +216,8 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     calls from several threads are safe and their fills run one at a time.
     Results are memoized per (alpha, cutoff) in a bounded cache of 8
     matrices, at most 8 * 16 * N^2 bytes, and the array is shared between
-    callers, so it is read-only. Accuracy of the truncation degrades once
+    callers, so it is read-only. The oracle's fidelity keeps its own memo of
+    real matrices instead. Accuracy of the truncation degrades once
     |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
     raises ValueError, and an alpha whose |alpha|^2 overflows raises
     OverflowError.
@@ -247,10 +273,10 @@ def displaced_thermal_fidelity(
     delta = |alpha2 - alpha1|. State 1's factor is then diag(sqrt(eta1)) and
     state 2's is D(delta) sqrt(eta2), so uhlmann_fidelity's cross matrix is
     the adjoint of sqrt(eta1) D(delta) sqrt(eta2), formed by two scalings.
-    D(delta) is real at real delta >= 0: every phase is +1 or -1 in its real
-    part, so the real part of the memoized matrix holds each entry exactly.
-    The thermal weights leave most trailing rows and columns of that matrix
-    below round-off, so its nuclear norm is taken over the leading k x k
+    D(delta) is real at real delta >= 0, every phase +1 or -1, and is built
+    and memoized as a real array (see _real_displacement). The thermal
+    weights leave most trailing rows and columns of that matrix below
+    round-off, so its nuclear norm is taken over the leading k x k
     block whose dropped rows and columns weigh at most eps/8 of it (see
     _squared_nuclear_norm): the fidelity moves by at most eps/4 relative, and
     the SVD's cost follows the states, not the cutoff. The cost is one
@@ -261,7 +287,9 @@ def displaced_thermal_fidelity(
     """
     delta = state2.displacement - state1.displacement
     _squared_modulus(delta, "alpha2 - alpha1")
-    d = displacement_matrix(abs(delta), cutoff).real
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    d = _real_displacement(abs(delta), cutoff)
     eta1 = thermal_spectrum(state1.mean_occupancy, cutoff)
     eta2 = thermal_spectrum(state2.mean_occupancy, cutoff)
     return _squared_nuclear_norm(d, eta1, eta2)

@@ -16,6 +16,7 @@ closed-form overlap expression and serves as an independent route to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,32 @@ class OverlapResult:
             raise ValueError(f"overlap must lie in [0, 1], got {self.value}")
 
 
+#: Most triangular factors _triangular_factor keeps. A sweep runs its points
+#: grouped by dalpha, so every group must find each occupancy pair of its
+#: grid; an entry takes about 1 KB.
+_FACTOR_MEMO = 128
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def _triangular_factor(first: bytes, second: bytes) -> tuple[tuple, float]:
+    """The rows of R^T's lower triangle, ``rows[k][j] = R[j, k]`` for
+    j <= k, and log det(V1 + V2), for the factors whose bytes are ``first``
+    and ``second``: what the substitution reads, memoized per pair.
+
+    The factors depend on the occupancies alone, so a sweep over dalpha
+    meets the same pair at every point. The same bytes give LAPACK the same
+    input, and so the same bits.
+    """
+    # [S1 S2] in C order, so that its transpose G^T is in the column order
+    # LAPACK reads without a copy.
+    stacked = np.frombuffer(first + second).reshape(2, 4, 4).transpose(1, 0, 2).reshape(4, 8)
+    # The raw output holds R transposed, below and on its diagonal:
+    # R[j, k] = h[k, j] for k >= j, so R is read without a triu copy.
+    h = np.linalg.qr(stacked.T / _SQRT2, mode="raw")[0]
+    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(h)))))
+    return tuple([tuple(row[:k + 1]) for k, row in enumerate(h.tolist())]), log_det
+
+
 def _overlap_over_free_means(
     g1: GaussianForm, g2: GaussianForm, free: int
 ) -> tuple[OverlapResult, list[float]]:
@@ -43,21 +70,18 @@ def _overlap_over_free_means(
     the substitution for R^T z = d1 - d2 stops before them, and they absorb
     the residual it leaves, which is returned too."""
     # Stacked in a fixed byte order, so that the overlap is exactly symmetric.
-    first, second = sorted((g1.factor, g2.factor), key=np.ndarray.tobytes, reverse=True)
-    # The raw output holds R transposed, below and on its diagonal:
-    # R[j, k] = h[k, j] for k >= j, so R is read without a triu copy.
-    h = np.linalg.qr(np.concatenate((first, second), axis=1).T / _SQRT2, mode="raw")[0]
-    log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(h)))))
+    rows, log_det = _triangular_factor(
+        *sorted((g1.factor.tobytes(), g2.factor.tobytes()), reverse=True)
+    )
     # Column by column on Python floats, in the order elementwise numpy
     # arithmetic would take, not a BLAS triangular solve, whose kernels
     # differ in their last digits (some fuse multiply-adds).
-    columns = h.tolist()
     z = (g1.displacement_vector - g2.displacement_vector).tolist()
     solved = len(z) - free
     for j in range(solved):
-        z[j] /= columns[j][j]
+        z[j] /= rows[j][j]
         for k in range(j + 1, len(z)):
-            z[k] -= z[j] * columns[k][j]
+            z[k] -= z[j] * rows[k][j]
     head = np.array(z[:solved])
     # head @ head overflows only where the overlap underflows; log_value is
     # then -inf.

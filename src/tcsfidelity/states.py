@@ -19,6 +19,7 @@ coherent-state CF; a unit test enforces this.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +128,28 @@ class PurificationSpec:
         object.__setattr__(self, "beta", _validate_complex(self.beta, "beta"))
 
 
+#: Most factors whose passed symplectic check _check_symplectic keeps; an
+#: entry takes about 0.3 KB.
+_SYMPLECTIC_MEMO = 128
+
+
+@functools.lru_cache(maxsize=_SYMPLECTIC_MEMO)
+def _check_symplectic(factor_bytes: bytes) -> None:
+    """Raise ValueError unless the 4x4 factor with these bytes is symplectic.
+
+    Memoized per factor, since a purification's factor depends on its
+    occupancy alone: a pass is kept, and a raise keeps nothing, so a factor
+    that fails raises on every check.
+    """
+    factor = np.frombuffer(factor_bytes).reshape(4, 4)
+    # Round-off in S Omega S^T scales with |S|^2, which grows like n.
+    defect = float(np.abs(factor @ _OMEGA @ factor.T - _OMEGA).max())
+    if not defect <= 1e-12 * float((factor * factor).sum()):
+        raise ValueError(
+            f"factor is not symplectic: max |S Omega S^T - Omega| = {defect!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GaussianForm:
     """Pure two-mode Gaussian state as a symplectic factor and a mean vector.
@@ -149,12 +172,7 @@ class GaussianForm:
             raise ValueError(
                 f"displacement_vector must have length 4, got shape {disp.shape}"
             )
-        # Round-off in S Omega S^T scales with |S|^2, which grows like n.
-        defect = float(np.abs(factor @ _OMEGA @ factor.T - _OMEGA).max())
-        if not defect <= 1e-12 * float((factor * factor).sum()):
-            raise ValueError(
-                f"factor is not symplectic: max |S Omega S^T - Omega| = {defect!r}"
-            )
+        _check_symplectic(factor.tobytes())
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "displacement_vector", disp)
 

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer
+from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer, states
 
 #: Constant of the Gaussian route's envelope, fitted against the 50-digit
 #: reference: the largest error seen, in units of eps (max(1, n1, n2) + |ln F|),
@@ -19,12 +19,16 @@ GAUSSIAN_ROUTE_C = 8.0
 
 @pytest.fixture(autouse=True)
 def release_cache():
-    """Empty the displacement memo and the step plan after every test: one
-    N = 3000 matrix takes 144 MB, its plan 111 MB, and no test should lean
-    on matrices an earlier one left behind."""
+    """Empty every memo after each test: one N = 3000 displacement matrix
+    takes 144 MB, its plan 111 MB, and no test should lean on what an earlier
+    one left behind, such as the triangular factors whose QR calls a test
+    counts."""
     yield
     fock_oracle._displacement_entries.cache_clear()
+    fock_oracle._real_displacement.cache_clear()
     fock_oracle._recurrence_constants.cache_clear()
+    gaussian_overlap._triangular_factor.cache_clear()
+    states._check_symplectic.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -588,6 +589,18 @@ EXIT_CODE_TABLE += [
     (["fidelity", "--route", "oracle", "--cutoff", "-1"], 2,
      "Error: cutoff must be >= 1, got -1"),
 ]
+# A grid whose values cannot be allocated fails while its flag is read, before
+# the command runs, and exits 1 like any MemoryError. 1e11 points need 745 GiB,
+# so the allocation fails at once; a count that could be allocated would fill
+# the memory instead.
+HUGE_GRID_LINE = (
+    "error: grid '0:1:100000000000' does not fit in memory: Unable to allocate "
+    "745. GiB for an array with shape (100000000000,) and data type float64"
+)
+EXIT_CODE_TABLE += [
+    (["sweep", "--n1", "0:1:100000000000"], 1, HUGE_GRID_LINE),
+    (["cf-grid", "--l1-re", "0:1:100000000000"], 1, HUGE_GRID_LINE),
+]
 # Finite displacements whose difference is infinite: every route names the
 # difference and exits 1, as when only its square overflows.
 INFINITE_DIFFERENCE = ["fidelity", "--alpha1=-1e308,0", "--alpha2", "1e308,0"]
@@ -735,6 +748,54 @@ def test_fidelity_golden_file():
 def test_sweep_golden_file():
     golden = (DATA_DIR / "sweep.csv").read_bytes()
     assert run_cli(GOLDEN_SWEEP_ARGS) == golden
+
+
+README_SWEEP_ARGS = [
+    "sweep", "--n1", "0,0.5,1,2", "--n2", "0:2:5", "--dalpha", "0,0;1,0;1,1",
+    "--cutoff", "80",
+]
+
+
+@pytest.mark.parametrize("args, points, qr_calls", [
+    (GOLDEN_SWEEP_ARGS, 12, 4),
+    # 20 occupancy pairs, of which 6 are another's mirror image: (n1, n2)
+    # and (n2, n1) stack the same two factors.
+    (README_SWEEP_ARGS, 60, 14),
+], ids=["golden", "readme"])
+def test_sweep_factors_each_occupancy_pair_once(runner, monkeypatch, args, points, qr_calls):
+    # Both Gaussian routes run at every point, and their triangular factor
+    # depends on the occupancies alone.
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*qr_args, **kwargs):
+        calls.append(None)
+        return qr(*qr_args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.stdout.count(",gaussian_overlap,") == points
+    assert len(calls) == qr_calls
+
+
+def test_golden_fidelity_factors_once_in_a_fresh_process():
+    # The two Gaussian routes of one point share one triangular factor.
+    code = (
+        "import sys, numpy as np; calls = []; qr = np.linalg.qr\n"
+        "np.linalg.qr = lambda *a, **k: calls.append(None) or qr(*a, **k)\n"
+        "from tcsfidelity.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:], prog_name='tcsfid')\n"
+        "finally:\n"
+        "    print('qr calls', len(calls), file=sys.stderr)\n"
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", code, *GOLDEN_FIDELITY_ARGS],
+        capture_output=True, check=True,
+    )
+    assert process.stdout == (DATA_DIR / "fidelity_all_routes.json").read_bytes()
+    assert process.stderr == b"qr calls 1\n"
 
 
 def test_golden_oracle_rows_match_closed_form(runner):

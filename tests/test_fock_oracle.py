@@ -418,6 +418,25 @@ def test_displacement_of_zero_is_identity():
     assert np.array_equal(d, np.eye(25, dtype=complex))
 
 
+SQUARE_ROUNDING = 1.6174868627108212
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 80, 200])
+def test_real_displacement_is_the_real_part_of_the_complex_matrix(n):
+    # At real alpha >= 0 the oracle's real table holds every entry of D as
+    # the real part of the complex matrix does, in half the bytes. At the
+    # radius SQUARE_ROUNDING, radius**2, the |alpha|^2 the complex matrix
+    # takes, and radius * radius differ in the last bit.
+    assert SQUARE_ROUNDING**2 != SQUARE_ROUNDING * SQUARE_ROUNDING
+    rng = np.random.default_rng(n)
+    radii = [0.0, 1e-3, 0.36, 1.0, 2**0.5, SQUARE_ROUNDING, 5.0, 20.0, *rng.uniform(0, 3, 5)]
+    for radius in radii:
+        table = fock_oracle._real_displacement(float(radius), n)
+        assert table.dtype == np.float64 and table.nbytes == 8 * n * n
+        assert not table.flags.writeable
+        assert np.array_equal(table, displacement_matrix(radius, n).real)
+
+
 @pytest.mark.parametrize("alpha", [0.5 + 0.3j, -1.2 + 0.8j, 2.0 - 1.5j, 0.1j])
 def test_displacement_matches_analytic_formula(alpha):
     computed = displacement_matrix(alpha, 60)
@@ -591,20 +610,23 @@ def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
 
 def test_oracle_forms_no_density_product(monkeypatch):
     # The route, in the frame of state 1, builds no displaced thermal factor
-    # at all: it takes one displacement matrix, at the real |alpha2 - alpha1|.
+    # at all: it takes one real displacement matrix, at the real
+    # |alpha2 - alpha1|, and no complex one.
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle route built a displaced thermal factor")
+        raise AssertionError("the oracle route built a complex or displaced thermal factor")
 
     arguments = []
+    real_displacement = fock_oracle._real_displacement
 
-    def recording(alpha, cutoff):
-        arguments.append(alpha)
-        return displacement_matrix(alpha, cutoff)
+    def recording(radius, cutoff):
+        arguments.append(radius)
+        return real_displacement(radius, cutoff)
 
     monkeypatch.setattr(fock_oracle, "displaced_thermal_matrix", refuse)
-    monkeypatch.setattr(fock_oracle, "displacement_matrix", recording)
+    monkeypatch.setattr(fock_oracle, "displacement_matrix", refuse)
+    monkeypatch.setattr(fock_oracle, "_real_displacement", recording)
     # The golden ``fidelity --all-routes`` pair.
     assert 0.0 < routes.compute_route("oracle", state1, state2, 80).fidelity < 1.0
     assert arguments == [abs(1.0 + 1.0j)]

@@ -2,12 +2,14 @@
 
 import math
 import sys
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from tcsfidelity import gaussian_overlap, states
 from tcsfidelity.closed_form import optimal_beta, tcs_fidelity
 from tcsfidelity.gaussian_overlap import OverlapResult, pure_overlap
 from tcsfidelity.routes import compute_route
@@ -96,6 +98,33 @@ def test_log_value_equals_forward_substitution_and_lapack_within_ulps():
         assert abs(value - lapack) <= LAPACK_ULPS * math.ulp(lapack)
 
 
+def rotated(form, angles):
+    """The same state with the factor S (R(a) + R(b)): local rotations on the
+    right leave S S^T alone but make S non-symmetric."""
+    rotation = np.zeros((4, 4))
+    for mode, angle in enumerate(angles):
+        c, s = math.cos(angle), math.sin(angle)
+        rotation[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, -s], [s, c]]
+    return GaussianForm(form.factor @ rotation, form.displacement_vector)
+
+
+def test_non_symmetric_factors_are_stacked_as_given():
+    # The memo rebuilds [S1 S2] from the factors' bytes; a transposed
+    # rebuild would pass for the symmetric purification factors alone.
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        g1, g2 = random_form(rng), random_form(rng)
+        r1, r2 = (rotated(g, rng.uniform(0, 2 * np.pi, 2)) for g in (g1, g2))
+        assert not np.array_equal(r1.factor, r1.factor.T)
+        first, second = sorted((r1.factor, r2.factor), key=np.ndarray.tobytes, reverse=True)
+        r = np.linalg.qr(np.hstack((first, second)).T / math.sqrt(2.0), mode="r")
+        z = forward_substitution(r.tolist(), r1.displacement_vector - r2.displacement_vector)
+        log_det = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
+        value = pure_overlap(r1, r2).log_value
+        assert value == -0.5 * float(z @ z) - 0.5 * log_det
+        assert value == pytest.approx(pure_overlap(g1, g2).log_value, rel=1e-12, abs=1e-12)
+
+
 def test_coherent_displacement_overlap():
     for dalpha in (0.5, 1 + 1j, 2j):
         g1 = form_of(0.0, 0j, 0j)
@@ -153,9 +182,14 @@ def test_value_equals_exp_log_value():
 
 
 def test_rejects_mixed_covariance():
-    # V = S S^T / 2 = 1.5 I is mixed, and its factor sqrt(3) I is not symplectic.
-    with pytest.raises(ValueError, match="not symplectic"):
-        GaussianForm(math.sqrt(3.0) * np.eye(4), np.zeros(4))
+    # V = S S^T / 2 = 1.5 I is mixed, and its factor sqrt(3) I is not
+    # symplectic. The check's memo keeps no failure, so every construction
+    # checks the factor again and raises.
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not symplectic"):
+            GaussianForm(math.sqrt(3.0) * np.eye(4), np.zeros(4))
+    info = states._check_symplectic.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)
 
 
 def test_overlap_result_validation():
@@ -183,3 +217,95 @@ def test_route_meets_the_mpmath_reference_within_its_envelope(
     value = compute_route(route, s1, s2).fidelity
     bound = gaussian_route_envelope(n1, n2, reference)
     assert abs(value - reference) / reference <= bound
+
+
+GAUSSIAN_ROUTES = ("gaussian_overlap", "purification_optimized")
+
+
+def route_bits(pairs, cold=False):
+    """The bits of fidelity and beta_star of both Gaussian routes at every
+    pair of states; with ``cold``, each route runs on emptied memos."""
+    bits = []
+    for s1, s2 in pairs:
+        for route in GAUSSIAN_ROUTES:
+            if cold:
+                gaussian_overlap._triangular_factor.cache_clear()
+                states._check_symplectic.cache_clear()
+            result = compute_route(route, s1, s2)
+            beta = result.beta_star
+            bits.append((result.fidelity.hex(), beta.real.hex(), beta.imag.hex()))
+    return bits
+
+
+def sweep_pairs(seed, occupancies, count):
+    """``count`` pairs of states whose occupancies repeat from ``occupancies``
+    and whose displacements do not."""
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            DisplacedThermalState(ThermalParams(float(rng.choice(occupancies))),
+                                  complex(*rng.normal(0, 1, 2))),
+            DisplacedThermalState(ThermalParams(float(rng.choice(occupancies))),
+                                  complex(*rng.normal(0, 1, 2))),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_warm_factor_memo_gives_the_cold_bits():
+    pairs = sweep_pairs(41, (0.0, 0.3, 1.0, 7.5, 1e6), 200)
+    cold = route_bits(pairs, cold=True)
+    gaussian_overlap._triangular_factor.cache_clear()
+    assert route_bits(pairs) == cold
+    # At most 15 unordered occupancy pairs, however many points.
+    assert gaussian_overlap._triangular_factor.cache_info().misses <= 15
+
+
+def test_factor_memo_is_keyed_on_the_factors_alone():
+    # One QR per unordered occupancy pair: the displacements and the order of
+    # the states do not enter the key.
+    s1 = DisplacedThermalState(ThermalParams(1.0), 0.3 - 0.2j)
+    s2 = DisplacedThermalState(ThermalParams(0.5), 1.3 + 0.8j)
+    moved = DisplacedThermalState(ThermalParams(0.5), -2.0 + 0.1j)
+    route_bits([(s1, s2), (s2, s1), (s1, moved)])
+    info = gaussian_overlap._triangular_factor.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_symplectic_check_runs_once_per_distinct_factor():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        form_of(float(rng.choice((0.0, 1.0, 2.5))), complex(*rng.normal(0, 1, 2)),
+                complex(*rng.normal(0, 1, 2)))
+    info = states._check_symplectic.cache_info()
+    assert (info.misses, info.hits) == (3, 27)
+
+
+def test_gaussian_routes_from_threads_give_the_single_thread_bits():
+    # Four threads share the factor and symplectic memos on the same
+    # occupancy pairs, with a switch interval of a microsecond.
+    threads, per_thread = 4, 100
+    pairs = sweep_pairs(47, (0.0, 0.5, 1.0, 2.0), threads * per_thread)
+    expected = route_bits(pairs)
+    gaussian_overlap._triangular_factor.cache_clear()
+    states._check_symplectic.cache_clear()
+    results = [None] * threads
+
+    def work(index):
+        results[index] = route_bits(pairs[index::threads])
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for index in range(threads):
+        assert results[index] == [
+            bits for i, bits in enumerate(expected) if i // 2 % threads == index
+        ]
