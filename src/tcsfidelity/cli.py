@@ -6,6 +6,7 @@ streams, and no timestamps or wall-clock values appear anywhere.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 Every command is an ``ExitCodeCommand``, which maps library exceptions to them.
+The values come from ``routes``; this module parses flags and formats results.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from . import closed_form, fock_oracle, routes, states
+from . import DEFAULT_CUTOFF, closed_form, routes, states
 
 SCHEMA_VERSION = 1
 
@@ -96,11 +97,6 @@ COMPLEX_LIST = ParsedParam(
 )
 
 
-def format_complex(z: complex) -> str:
-    """Shortest-representation 're,im' text; round-trips losslessly."""
-    return f"{z.real!r},{z.imag!r}"
-
-
 def _echo(message: str, err: bool = False) -> None:
     """click.echo to the current sys.stdout, or sys.stderr if ``err``.
 
@@ -116,6 +112,19 @@ def _emit_json(payload: dict) -> None:
     _echo(json.dumps(payload, indent=2))
 
 
+#: The columns of ``fidelity --csv``: a report's fields but its diagnostics.
+REPORT_COLUMNS = ("route", "fidelity", "bures_distance", "beta_star", "cutoff")
+
+
+def _echo_csv(columns: tuple[str, ...], rows: list[dict]) -> None:
+    """A header, then each row's fields by str (a float's shortest round-trip
+    repr), empty where the row has none and quoted where they hold a comma."""
+    _echo(",".join(columns))
+    for row in rows:
+        fields = [str(row.get(column, "")) for column in columns]
+        _echo(",".join(f'"{field}"' if "," in field else field for field in fields))
+
+
 def _fail(message: str) -> NoReturn:
     _echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -128,34 +137,15 @@ def _check_tolerance(ctx, param, value: float | None) -> float | None:
     return value
 
 
-def _resolve_occupancy(n: float | None, ratio: float | None, label: str) -> float:
+def _resolve_thermal(n: float | None, ratio: float | None, label: str) -> states.ThermalParams:
     if n is not None and ratio is not None:
         _echo(
             f"warning: both --{label} and its --temp-ratio flag given; using --{label}",
             err=True,
         )
-        return n
-    if ratio is not None:
-        return states.mean_occupancy_from_temperature(ratio=ratio)
-    return n if n is not None else 0.0
-
-
-def _build_state(n: float, alpha: complex) -> states.DisplacedThermalState:
-    return states.DisplacedThermalState(states.ThermalParams(n), alpha)
-
-
-def _report(result: routes.RouteResult) -> dict:
-    report = {
-        "route": result.route,
-        "fidelity": result.fidelity,
-        "bures_distance": closed_form.bures_distance(result.fidelity),
-    }
-    if result.beta_star is not None:
-        report["beta_star"] = format_complex(result.beta_star)
-    if result.cutoff is not None:
-        report["cutoff"] = result.cutoff
-    report["diagnostics"] = result.diagnostics
-    return report
+    elif ratio is not None:
+        n = states.mean_occupancy_from_temperature(ratio=ratio)
+    return states.ThermalParams(n if n is not None else 0.0)
 
 
 def _state_options(command):
@@ -227,7 +217,7 @@ main.command_class = ExitCodeCommand
 @click.option(
     "--cutoff",
     type=int,
-    default=fock_oracle.DEFAULT_CUTOFF,
+    default=DEFAULT_CUTOFF,
     show_default=True,
     help="Fock truncation for the oracle route.",
 )
@@ -243,17 +233,17 @@ def fidelity(
     route, all_routes, cutoff, tol, emit_json,
 ):
     """Fidelity and Bures distance between two displaced thermal states."""
-    state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
-    state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
+    state1 = states.DisplacedThermalState(_resolve_thermal(n1, temp_ratio1, "n1"), alpha1)
+    state2 = states.DisplacedThermalState(_resolve_thermal(n2, temp_ratio2, "n2"), alpha2)
     names = routes.ROUTES if all_routes else [route.replace("-", "_")]
     results = routes.compare(state1, state2, names, cutoff)
-    reports = [_report(result) for result in results.values()]
+    reports = [result.report() for result in results.values()]
     # Rounding is monotone, so max - min is the largest pairwise |a - b|; a
     # single route gives 0, which never breaches --tol.
     fidelities = [report["fidelity"] for report in reports]
     discrepancy = max(fidelities) - min(fidelities)
     if not emit_json:
-        _echo_report_csv(reports)
+        _echo_csv(REPORT_COLUMNS, reports)
     elif all_routes:
         _emit_json(
             {
@@ -268,32 +258,20 @@ def fidelity(
         _fail(f"route discrepancy {discrepancy!r} > {tol!r}")
 
 
-def _echo_report_csv(reports: list[dict]) -> None:
-    _echo("route,fidelity,bures_distance,beta_star,cutoff")
-    for report in reports:
-        beta = report.get("beta_star")
-        beta_field = f'"{beta}"' if beta is not None else ""
-        cut = report.get("cutoff", "")
-        _echo(
-            f"{report['route']},{report['fidelity']!r},"
-            f"{report['bures_distance']!r},{beta_field},{cut}"
-        )
-
-
 @main.command()
 @_state_options
 def optimize(n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2):
     """Maximize the purification overlap numerically and compare with the
     analytic optimum."""
-    state1 = _build_state(_resolve_occupancy(n1, temp_ratio1, "n1"), alpha1)
-    state2 = _build_state(_resolve_occupancy(n2, temp_ratio2, "n2"), alpha2)
+    state1 = states.DisplacedThermalState(_resolve_thermal(n1, temp_ratio1, "n1"), alpha1)
+    state2 = states.DisplacedThermalState(_resolve_thermal(n2, temp_ratio2, "n2"), alpha2)
     result = routes.compute_route("purification_optimized", state1, state2)
     analytic = closed_form.optimal_beta(state1, state2)
     _emit_json(
         {
             "schema": SCHEMA_VERSION,
-            **_report(result),
-            "beta_analytic": format_complex(analytic),
+            **result.report(),
+            "beta_analytic": routes.format_complex(analytic),
             "beta_deviation": abs(result.beta_star - analytic),
         }
     )
@@ -315,38 +293,23 @@ def optimize(n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2):
               help="With --oracle-check: exit 1 if the max deviation exceeds this.")
 def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check, tol):
     """Tabulate the purification characteristic function on a lambda grid (CSV)."""
-    occupancy = _resolve_occupancy(n, temp_ratio, "n")
-    spec = states.PurificationSpec(states.ThermalParams(occupancy), alpha, beta)
+    spec = states.PurificationSpec(_resolve_thermal(n, temp_ratio, "n"), alpha, beta)
     lambdas1 = [complex(re1, im1) for re1 in l1_re for im1 in l1_im]
     lambdas2 = [complex(re2, im2) for re2 in l2_re for im2 in l2_im]
     if oracle_check is not None and oracle_check < 1:
         raise click.UsageError("--oracle-check cutoff must be >= 1")
     # Every value is computed before the first row is printed, so a numerical
     # failure leaves stdout empty.
-    table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
-    if oracle_check is not None:
-        vector = fock_oracle.schmidt_purification(
-            _build_state(occupancy, alpha), spec.beta, oracle_check
-        )
-        oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2)
+    table, oracle, worst = routes.cf_grid(spec, lambdas1, lambdas2, oracle_check)
     header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
-    if oracle_check is not None:
+    if oracle is not None:
         header += ",re_chi_oracle,im_chi_oracle"
     _echo(header)
-    worst = 0.0
     for i, l1 in enumerate(lambdas1):
         for j, l2 in enumerate(lambdas2):
-            chi = table[i][j]
-            row = (
-                f"{l1.real!r},{l1.imag!r},{l2.real!r},{l2.imag!r},"
-                f"{chi.real!r},{chi.imag!r}"
-            )
-            if oracle_check is not None:
-                chi_oracle = complex(oracle[i, j])
-                worst = max(worst, abs(chi - chi_oracle))
-                row += f",{chi_oracle.real!r},{chi_oracle.imag!r}"
-            _echo(row)
-    if oracle_check is not None:
+            values = [l1, l2, table[i][j], *([] if oracle is None else [oracle[i][j]])]
+            _echo(",".join(map(routes.format_complex, values)))
+    if worst is not None:
         _echo(f"# max_abs_deviation={worst!r}")
         if tol is not None and worst > tol:
             _fail(f"CF deviation {worst!r} > {tol!r}")
@@ -361,7 +324,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
               help="Base displacement of state 1; state 2 sits at alpha1 + dalpha.")
 @click.option("--routes", "route_names", default="all",
               help="Comma-separated routes, or 'all'.")
-@click.option("--cutoff", type=int, default=fock_oracle.DEFAULT_CUTOFF,
+@click.option("--cutoff", type=int, default=DEFAULT_CUTOFF,
               show_default=True)
 @click.option("--json/--csv", "emit_json", default=False, help="Output format.")
 def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
@@ -376,52 +339,11 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
     if unknown:
         raise click.UsageError(f"unknown routes {unknown}; valid: {', '.join(ROUTE_NAMES)}")
     selected = [name.replace("-", "_") for name in selected]
-    points = sorted(
-        (float(v1), float(v2), d.real, d.imag)
-        for v1 in n1
-        for v2 in n2
-        for d in dalpha
-    )
-    # The points run grouped by dalpha, so that each D(|dalpha|) is built once
-    # however many dalpha the grid has: the displacement memo holds only 8. A
-    # failure that ExitCodeCommand maps is raised where the row order reaches
-    # it, as if the points had run in that order.
-    outcomes = [None] * len(points)
-    for i in sorted(range(len(points)), key=lambda i: points[i][2:]):
-        v1, v2, d_re, d_im = points[i]
-        try:
-            state1 = _build_state(v1, alpha1)
-            state2 = _build_state(v2, alpha1 + complex(d_re, d_im))
-            # The closed form is the reference, run once even when it is selected.
-            outcomes[i] = routes.compare(state1, state2, ["closed_form", *selected], cutoff)
-        except (ArithmeticError, MemoryError, ValueError) as error:
-            outcomes[i] = error
-    rows = []
-    for (v1, v2, d_re, d_im), results in zip(points, outcomes):
-        if isinstance(results, Exception):
-            raise results
-        closed_value = results["closed_form"].fidelity
-        for name in selected:
-            value = results[name].fidelity
-            rows.append(
-                {
-                    "n1": v1,
-                    "n2": v2,
-                    "re_dalpha": d_re,
-                    "im_dalpha": d_im,
-                    "route": name,
-                    "fidelity": value,
-                    "bures_distance": closed_form.bures_distance(value),
-                    "discrepancy_vs_closed_form": abs(value - closed_value),
-                }
-            )
+    rows = routes.sweep(n1, n2, dalpha, alpha1, selected, cutoff)
     if emit_json:
         _emit_json({"schema": SCHEMA_VERSION, "rows": rows})
-        return
-    _echo(",".join(rows[0]))
-    for row in rows:
-        # str of a float is its shortest round-trip repr
-        _echo(",".join(map(str, row.values())))
+    else:
+        _echo_csv(routes.SWEEP_COLUMNS, rows)
 
 
 @main.command()

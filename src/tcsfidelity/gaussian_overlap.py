@@ -37,9 +37,11 @@ class OverlapResult:
             raise ValueError(f"overlap must lie in [0, 1], got {self.value}")
 
 
-#: Most triangular factors _triangular_factor keeps. A sweep runs its points
-#: grouped by dalpha, so every group must find each occupancy pair of its
-#: grid; an entry takes about 1 KB.
+#: Most triangular factors _triangular_factor keeps; an entry takes about
+#: 1 KB. routes.sweep runs its points grouped by dalpha, every group over the
+#: same occupancy pairs and every other group in reverse, so a grid of at most
+#: this many pairs factors each pair once, and in a larger grid each group
+#: after the first refactors only the pairs beyond this many.
 _FACTOR_MEMO = 128
 
 

@@ -1,7 +1,9 @@
 """The four fidelity routes, run by name and reported in one result type.
 
 Every route maps two displaced thermal states to the Uhlmann fidelity, so
-running them side by side cross-checks the library. Each layer is called
+running them side by side cross-checks the library. This module also
+computes what the command line prints, its reports, sweeps and CF grids, so
+that a caller runs exactly what ``tcsfid`` runs. Each layer is called
 through its module attribute (``fock_oracle.displaced_thermal_fidelity``,
 not a name imported from it), so that rebinding the attribute, as a tracer
 or a test does, is seen by every route.
@@ -9,6 +11,7 @@ or a test does, is seen by every route.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -43,6 +46,26 @@ class RouteResult:
             raise ArithmeticError(
                 f"internal error: route {self.route} produced fidelity {self.fidelity!r}"
             )
+
+    def report(self) -> dict:
+        """The result as ``tcsfid fidelity`` reports it, with the Bures distance
+        and beta_star as format_complex text; diagnostics come last."""
+        report = {
+            "route": self.route,
+            "fidelity": self.fidelity,
+            "bures_distance": closed_form.bures_distance(self.fidelity),
+        }
+        if self.beta_star is not None:
+            report["beta_star"] = format_complex(self.beta_star)
+        if self.cutoff is not None:
+            report["cutoff"] = self.cutoff
+        report["diagnostics"] = self.diagnostics
+        return report
+
+
+def format_complex(z: complex) -> str:
+    """Shortest-representation 're,im' text; round-trips losslessly."""
+    return f"{z.real!r},{z.imag!r}"
 
 
 def _closed_form(state1, state2, cutoff) -> RouteResult:
@@ -91,11 +114,13 @@ def compute_route(
 ) -> RouteResult:
     """Fidelity of two displaced thermal states by the route ``name``.
 
-    Only the oracle uses ``cutoff``. Inputs outside a route's domain raise
-    ValueError; numerical failures raise ArithmeticError or
-    numpy.linalg.LinAlgError, which subclasses ValueError and so must be
-    caught first.
+    Only the oracle uses ``cutoff``; every route refuses one below 1. Inputs
+    outside a route's domain raise ValueError; numerical failures raise
+    ArithmeticError or numpy.linalg.LinAlgError, which subclasses ValueError
+    and so must be caught first.
     """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     return ROUTES[name](state1, state2, cutoff)
 
 
@@ -110,3 +135,63 @@ def compare(
     return {
         name: compute_route(name, state1, state2, cutoff) for name in dict.fromkeys(names)
     }
+
+
+#: The fields of a sweep row, in the order ``tcsfid sweep`` prints them.
+SWEEP_COLUMNS = ("n1", "n2", "re_dalpha", "im_dalpha", "route", "fidelity",
+                 "bures_distance", "discrepancy_vs_closed_form")
+
+
+def sweep(n1_values, n2_values, dalphas, alpha1, names, cutoff=fock_oracle.DEFAULT_CUTOFF):
+    """The routes ``names`` over a grid, state 1 at (n1, alpha1) and state 2
+    at (n2, alpha1 + dalpha), as SWEEP_COLUMNS dicts: the points sorted by
+    (n1, n2, Re dalpha, Im dalpha), then the routes in the order named. The
+    discrepancy is from the closed form, run once per point. A failure raises
+    as in ``compute_route``, the first in row order."""
+    grid = itertools.product(n1_values, n2_values, dalphas)
+    points = sorted((float(v1), float(v2), d.real, d.imag) for v1, v2, d in grid)
+    dalpha = [point[2:] for point in points]
+
+    # The points run grouped by dalpha, so that each D(|dalpha|) is built once
+    # however many dalpha the grid has: the oracle's memo holds only 8. Every
+    # group meets the same occupancy pairs, and alternate groups take them in
+    # reverse, so that a grid of more pairs than the factor memo holds
+    # refactors only those beyond it.
+    outcomes = [None] * len(points)
+    order = sorted(range(len(points)), key=dalpha.__getitem__)
+    groups = itertools.groupby(order, key=dalpha.__getitem__)
+    for parity, (_, group) in enumerate(groups):
+        for i in reversed(list(group)) if parity % 2 else group:
+            v1, v2, d_re, d_im = points[i]
+            try:
+                state1 = states.DisplacedThermalState(states.ThermalParams(v1), alpha1)
+                alpha2 = alpha1 + complex(d_re, d_im)
+                state2 = states.DisplacedThermalState(states.ThermalParams(v2), alpha2)
+                outcomes[i] = compare(state1, state2, ["closed_form", *names], cutoff)
+            except (ArithmeticError, MemoryError, ValueError) as error:
+                outcomes[i] = error
+    rows = []
+    for point, results in zip(points, outcomes):
+        if isinstance(results, Exception):
+            raise results
+        reference = results["closed_form"].fidelity
+        for name in names:
+            value = results[name].fidelity
+            distance = closed_form.bures_distance(value)
+            fields = (*point, name, value, distance, abs(value - reference))
+            rows.append(dict(zip(SWEEP_COLUMNS, fields)))
+    return rows
+
+
+def cf_grid(spec, lambdas1, lambdas2, cutoff=None):
+    """``(table, oracle, deviation)``: the purification CF of ``spec`` at
+    (lambdas1[i], lambdas2[j]) in ``table[i][j]``, and with a cutoff the Fock
+    oracle's table of its Schmidt purification and their largest |difference|."""
+    table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
+    if cutoff is None:
+        return table, None, None
+    state = states.DisplacedThermalState(spec.thermal, spec.alpha)
+    vector = fock_oracle.schmidt_purification(state, spec.beta, cutoff)
+    oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2).tolist()
+    deviations = (abs(a - b) for row, row_b in zip(table, oracle) for a, b in zip(row, row_b))
+    return table, oracle, max([0.0, *deviations])

@@ -1,5 +1,6 @@
 """CLI tests: route dispatch, formats, exit codes, and determinism."""
 
+import ast
 import gc
 import io
 import json
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tcsfidelity import closed_form, fock_oracle
-from tcsfidelity.cli import COMPLEX, ExitCodeCommand, format_complex, main
+from tcsfidelity import cli, closed_form, fock_oracle, routes, states
+from tcsfidelity.cli import COMPLEX, ExitCodeCommand, main
+from tcsfidelity.routes import format_complex
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -290,6 +292,23 @@ def test_cf_grid_oracle_check_footer(runner):
     footer = lines[-1]
     assert footer.startswith("# max_abs_deviation=")
     assert float(footer.split("=")[1]) <= 1e-6
+
+
+def test_cf_grid_footer_is_the_library_deviation(runner):
+    result = invoke(
+        runner, "cf-grid", "--n", "1", "--alpha", "1,0", "--beta", "0.5,0.5",
+        "--l1-re", "-1:1:3", "--l2-im", "0:1:2", "--oracle-check", "30",
+    )
+    spec = states.PurificationSpec(states.ThermalParams(1.0), 1 + 0j, 0.5 + 0.5j)
+    lambdas1 = [complex(x, 0.0) for x in (-1.0, 0.0, 1.0)]
+    lambdas2 = [complex(0.0, y) for y in (0.0, 1.0)]
+    table, oracle, deviation = routes.cf_grid(spec, lambdas1, lambdas2, 30)
+    lines = result.stdout.splitlines()
+    assert lines[-1] == f"# max_abs_deviation={deviation!r}"
+    assert deviation == max(
+        abs(table[i][j] - oracle[i][j]) for i in range(3) for j in range(2)
+    ) > 0.0
+    assert lines[1] == ",".join(map(format_complex, [-1 + 0j, 0j, table[0][0], oracle[0][0]]))
 
 
 def test_cf_grid_oracle_check_builds_each_displacement_once(runner):
@@ -601,6 +620,12 @@ EXIT_CODE_TABLE += [
     (["sweep", "--n1", "0:1:100000000000"], 1, HUGE_GRID_LINE),
     (["cf-grid", "--l1-re", "0:1:100000000000"], 1, HUGE_GRID_LINE),
 ]
+# Every route refuses a cutoff below 1, not only the oracle that reads it.
+EXIT_CODE_TABLE += [
+    (["fidelity", "--cutoff", "0"], 2, "Error: cutoff must be >= 1, got 0"),
+    (["sweep", "--cutoff", "0", "--routes", "closed-form"], 2,
+     "Error: cutoff must be >= 1, got 0"),
+]
 # Finite displacements whose difference is infinite: every route names the
 # difference and exits 1, as when only its square overflows.
 INFINITE_DIFFERENCE = ["fidelity", "--alpha1=-1e308,0", "--alpha2", "1e308,0"]
@@ -653,6 +678,23 @@ def test_out_of_memory_is_a_numerical_failure(runner, monkeypatch, layer, args):
         assert result.stdout == ""
         assert result.stderr == f"{line}\n"
         assert isinstance(result.exception, SystemExit)
+
+
+def test_cli_reaches_the_route_layers_only_through_routes():
+    # cli.py parses and formats; what it prints is computed by routes and the
+    # modules that define the domain types.
+    layers = {"fock_oracle", "gaussian_overlap", "optimizer"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert named & layers == set()
 
 
 def test_every_command_maps_library_failures():

@@ -6,6 +6,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,8 @@ from tcsfidelity import closed_form, fock_oracle, routes, states
 from tcsfidelity.routes import RouteResult, compare, compute_route
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "fidelity_all_routes.json").read_text()
-)
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA_DIR / "fidelity_all_routes.json").read_text())
 # The states and cutoff of the golden ``fidelity --all-routes`` call.
 STATE1 = DisplacedThermalState(ThermalParams(1.0), 0.3 - 0.2j)
 STATE2 = DisplacedThermalState(ThermalParams(0.5), 1.3 + 0.8j)
@@ -186,3 +186,119 @@ def test_every_route_falls_along_a_ray(n1, n2, alpha1, angle, step):
             series[name].append(result.fidelity)
     for name, values in series.items():
         assert all(later <= earlier for earlier, later in zip(values, values[1:])), name
+
+
+@pytest.mark.parametrize("name", list(routes.ROUTES))
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_every_route_refuses_a_cutoff_below_one(name, cutoff):
+    with pytest.raises(ValueError, match=f"^cutoff must be >= 1, got {cutoff}$"):
+        compute_route(name, STATE1, STATE2, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# what the command line prints
+# ---------------------------------------------------------------------------
+
+
+def test_reports_of_the_golden_states_are_the_golden_file():
+    results = compare(STATE1, STATE2, routes.ROUTES, CUTOFF)
+    reports = [result.report() for result in results.values()]
+    fidelities = [report["fidelity"] for report in reports]
+    document = {
+        "schema": 1,
+        "reports": reports,
+        "max_pairwise_discrepancy": max(fidelities) - min(fidelities),
+    }
+    golden = (DATA_DIR / "fidelity_all_routes.json").read_text()
+    assert json.dumps(document, indent=2) + "\n" == golden
+
+
+def test_sweep_rows_are_the_golden_csv():
+    # The grid, base displacement and cutoff of the golden sweep; tcsfid
+    # passes the route names sorted.
+    names = sorted(routes.ROUTES)
+    rows = routes.sweep([0.0, 1.0], [0.0, 0.5], [0j, 1 + 0j, 1 + 1j], 0j, names, 60)
+    lines = [routes.SWEEP_COLUMNS, *(map(str, row.values()) for row in rows)]
+    csv = "".join(",".join(line) + "\n" for line in lines)
+    assert csv == (DATA_DIR / "sweep.csv").read_text()
+
+
+def test_sweep_rows_follow_the_grid_then_the_names():
+    rows = routes.sweep([1.0, 0.0], [0.5], [1 + 0j, 0j], 0.5j, ["oracle", "closed_form"], 40)
+    assert [tuple(row) for row in rows] == [routes.SWEEP_COLUMNS] * 8
+    points = [(row["n1"], row["n2"], row["re_dalpha"], row["im_dalpha"]) for row in rows]
+    assert points[::2] == points[1::2] == sorted(set(points))
+    assert [row["route"] for row in rows] == ["oracle", "closed_form"] * 4
+    for row in rows[1::2]:
+        state1 = DisplacedThermalState(ThermalParams(row["n1"]), 0.5j)
+        state2 = DisplacedThermalState(ThermalParams(row["n2"]), 0.5j + row["re_dalpha"])
+        assert row["fidelity"] == closed_form.tcs_fidelity(state1, state2).value
+        assert row["discrepancy_vs_closed_form"] == 0.0
+
+
+def test_sweep_runs_the_closed_form_once_per_point(monkeypatch):
+    calls = []
+    tcs_fidelity = closed_form.tcs_fidelity
+    monkeypatch.setattr(
+        closed_form, "tcs_fidelity", lambda *args: calls.append(args) or tcs_fidelity(*args)
+    )
+    rows = routes.sweep([0.0, 1.0], [0.5], [1 + 0j, 1j], 0j, ["closed_form", "oracle"], 20)
+    assert len(rows) == 8
+    assert len(calls) == 4
+
+
+def test_sweep_raises_the_first_failure_in_row_order():
+    # The dalpha = 1 group runs first, and its point at n2 = 1e9 is outside
+    # the occupancy cap; but (0, 0, 40) comes first in row order, so its
+    # underflow is the failure raised.
+    underflow = r"underflows double precision at \|a1 - a2\| = 40"
+    with pytest.raises(ArithmeticError, match=underflow):
+        routes.sweep([0.0], [0.0, 1e9], [1 + 0j, 40 + 0j], 0j, ["closed_form"])
+    with pytest.raises(ValueError, match="exceeds the supported range"):
+        routes.sweep([0.0], [0.0, 1e9], [1 + 0j, 2 + 0j], 0j, ["closed_form"])
+
+
+def test_sweep_fills_each_displacement_once(monkeypatch):
+    # Nine distinct dalpha, one more than the oracle's memo holds: run in row
+    # order, (n1, n2, dalpha), the memo would cycle and refill D(|dalpha|) at
+    # every one of the 36 points.
+    fills = []
+    fill = fock_oracle._fill_entries
+    monkeypatch.setattr(
+        fock_oracle, "_fill_entries", lambda *args: fills.append(args[0]) or fill(*args)
+    )
+    dalphas = [complex(k / 10) for k in range(1, 10)]
+    rows = routes.sweep([0.0, 1.0], [0.0, 1.0], dalphas, 0j, ["oracle"], 20)
+    assert len(rows) == 36
+    assert len(fills) == len(set(fills)) == 9
+
+
+def test_sweep_beyond_the_factor_memo_refactors_only_the_overflow(monkeypatch):
+    # 144 occupancy pairs, none the mirror image of another, 16 more than the
+    # factor memo holds. The first dalpha group factors all 144; each later
+    # group runs the pairs in the reverse order of the one before, so it
+    # finds the 128 kept and refactors 16. In one order throughout every
+    # point would miss: 432 QR calls.
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    n1, n2 = np.linspace(0.0, 1.0, 12).tolist(), np.linspace(1.05, 2.0, 12).tolist()
+    names = ["gaussian_overlap", "purification_optimized"]
+    rows = routes.sweep(n1, n2, [0j, 1 + 0j, 1 + 1j], 0j, names)
+    assert len(rows) == 2 * 432
+    assert len(calls) == 144 + 16 + 16
+
+
+def test_cf_grid_without_a_cutoff_has_no_oracle():
+    spec = states.PurificationSpec(ThermalParams(1.0), 1 + 0j, 0.5j)
+    lambdas1, lambdas2 = [0j, 0.5 + 0j, 1j], [0j, -0.5j]
+    table, oracle, deviation = routes.cf_grid(spec, lambdas1, lambdas2)
+    assert oracle is None and deviation is None
+    cf = states.purification_cf
+    assert table == [[cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
+    assert table[0][0] == 1.0
