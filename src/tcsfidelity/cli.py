@@ -108,8 +108,9 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
-def _emit_json(payload: dict) -> None:
-    _echo(json.dumps(payload, indent=2))
+def _emit_json(**fields) -> None:
+    """The fields as one JSON object, after the schema version."""
+    _echo(json.dumps({"schema": SCHEMA_VERSION, **fields}, indent=2))
 
 
 #: The columns of ``fidelity --csv``: a report's fields but its diagnostics.
@@ -245,15 +246,9 @@ def fidelity(
     if not emit_json:
         _echo_csv(REPORT_COLUMNS, reports)
     elif all_routes:
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "reports": reports,
-                "max_pairwise_discrepancy": discrepancy,
-            }
-        )
+        _emit_json(reports=reports, max_pairwise_discrepancy=discrepancy)
     else:
-        _emit_json({"schema": SCHEMA_VERSION, **reports[0]})
+        _emit_json(**reports[0])
     if tol is not None and discrepancy > tol:
         _fail(f"route discrepancy {discrepancy!r} > {tol!r}")
 
@@ -268,12 +263,9 @@ def optimize(n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2):
     result = routes.compute_route("purification_optimized", state1, state2)
     analytic = closed_form.optimal_beta(state1, state2)
     _emit_json(
-        {
-            "schema": SCHEMA_VERSION,
-            **result.report(),
-            "beta_analytic": routes.format_complex(analytic),
-            "beta_deviation": abs(result.beta_star - analytic),
-        }
+        **result.report(),
+        beta_analytic=routes.format_complex(analytic),
+        beta_deviation=abs(result.beta_star - analytic),
     )
 
 
@@ -341,7 +333,7 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
     selected = [name.replace("-", "_") for name in selected]
     rows = routes.sweep(n1, n2, dalpha, alpha1, selected, cutoff)
     if emit_json:
-        _emit_json({"schema": SCHEMA_VERSION, "rows": rows})
+        _emit_json(rows=rows)
     else:
         _echo_csv(routes.SWEEP_COLUMNS, rows)
 
@@ -351,13 +343,8 @@ def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):
               help="Transition probability in (0, 1].")
 def bures(fidelity_value):
     """Bures distance for a given fidelity."""
-    _emit_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "fidelity": fidelity_value,
-            "bures_distance": closed_form.bures_distance(fidelity_value),
-        }
-    )
+    _emit_json(fidelity=fidelity_value,
+               bures_distance=closed_form.bures_distance(fidelity_value))
 
 
 if __name__ == "__main__":

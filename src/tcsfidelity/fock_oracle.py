@@ -3,7 +3,9 @@
 Everything here is dense linear algebra on N x N arrays: displacement
 operators built from a Laguerre recurrence normalized to the matrix entries
 (bounded by one, so finite at any cutoff), the Bures-Uhlmann fidelity, and
-Schmidt purifications with their characteristic functions.
+Schmidt purifications with their characteristic functions. One memoized
+builder makes every displacement matrix: a real array at real alpha, where
+D(alpha) is real, and a complex one elsewhere.
 
 The fidelity is Uhlmann's maximal transition probability between
 purifications. A density matrix rho = B B^dag is purified by the amplitude
@@ -154,17 +156,22 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
     entries follow from <l|D(alpha)|l+o> = (-1)^o conj(<l+o|D(alpha)|l>).
     _fill_entries stores the real E_l^(o) on both sides of the diagonal in
     the cutoff's scratch table, and one product of it with every phase
-    allocates the result, so no returned array is the scratch.
+    allocates the result, so no returned array is the scratch. At real alpha,
+    of either sign and with either signed zero as imaginary part, unit is the
+    float +1 or -1, every phase is exactly +1 or -1, and the result is the
+    real float64 array D is there.
     """
     if alpha == 0:
-        out = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(out, 1.0)
+        out = np.eye(n)
     else:
         x = _squared_modulus(alpha, "alpha")
         radius = abs(alpha)
-        # Part by part: complex / float would turn a -0.0 imaginary part into
-        # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
-        unit = complex(alpha.real / radius, alpha.imag / radius)
+        if alpha.imag == 0:
+            unit = alpha.real / radius
+        else:
+            # Part by part: complex / float would turn a -0.0 imaginary part into
+            # +0.0, and D(-alpha) would no longer be D(alpha)^dag bit for bit.
+            unit = complex(alpha.real / radius, alpha.imag / radius)
         order = np.arange(n)
         # The phase of entry (k, l) is phases[n - 1 - k + l]: unit^(k-l) for
         # k >= l and (-conj(unit))^(l-k) above. It must be the first factor:
@@ -172,31 +179,6 @@ def _displacement_entries(alpha: complex, n: int) -> np.ndarray:
         phases = np.concatenate([(unit**order)[::-1], ((-unit.conjugate()) ** order)[1:]])
         with _SCRATCH_LOCK:
             out = np.multiply(_toeplitz(phases, n), _fill_entries(x, radius, n))
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _real_displacement(radius: float, n: int) -> np.ndarray:
-    """Read-only entries of D(radius) truncated at ``n`` for a real
-    radius >= 0, as the real array they are, memoized per (radius, n) at
-    8 * N^2 bytes apiece.
-
-    At real alpha = radius the phase of entry (k, l) is +1 at k >= l and
-    (-1)^(l-k) above the diagonal, so one product of the scratch table with
-    those signs allocates D itself: every entry equals the real part of
-    displacement_matrix(radius, n), which holds it exactly.
-    """
-    if radius == 0:
-        out = np.eye(n)
-    else:
-        # The sign of entry (k, l) is signs[n - 1 - k + l], as in _toeplitz.
-        signs = np.ones(2 * n - 1)
-        signs[n::2] = -1.0
-        # x as _squared_modulus rounds it: radius * radius is a different
-        # double for some radii.
-        with _SCRATCH_LOCK:
-            out = np.multiply(_toeplitz(signs, n), _fill_entries(radius**2, radius, n))
     out.flags.writeable = False
     return out
 
@@ -214,13 +196,13 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     views per step (157 KB at N = 80, 111 MB at N = 3000). Every caller fills
     the same scratch under one lock, held until the phases are applied, so
     calls from several threads are safe and their fills run one at a time.
-    Results are memoized per (alpha, cutoff) in a bounded cache of 8
-    matrices, at most 8 * 16 * N^2 bytes, and the array is shared between
-    callers, so it is read-only. The oracle's fidelity keeps its own memo of
-    real matrices instead. Accuracy of the truncation degrades once
-    |alpha|^2 approaches the cutoff. A non-finite alpha or a cutoff below 1
-    raises ValueError, and an alpha whose |alpha|^2 overflows raises
-    OverflowError.
+    At real alpha every entry is real and the result is a float64 array, at
+    8 * N^2 bytes; at complex alpha it is complex, at 16 * N^2. Results are
+    memoized per (alpha, cutoff) in one bounded cache of 8 matrices, at most
+    8 * 16 * N^2 bytes, and the array is shared between callers, so it is
+    read-only. Accuracy of the truncation degrades once |alpha|^2 approaches
+    the cutoff. A non-finite alpha or a cutoff below 1 raises ValueError, and
+    an alpha whose |alpha|^2 overflows raises OverflowError.
     """
     alpha = _validate_complex(alpha, "alpha")
     if cutoff < 1:
@@ -230,8 +212,8 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 
 def displaced_thermal_matrix(state: DisplacedThermalState, cutoff: int) -> np.ndarray:
     """Factor B = D(alpha) sqrt(rho_thermal) of the displaced thermal state
-    rho = B B^dag: a new complex array, one column scaling of the memoized
-    D(alpha)."""
+    rho = B B^dag: a new array, real at real alpha, one column scaling of the
+    memoized D(alpha)."""
     d = displacement_matrix(state.displacement, cutoff)
     eta = thermal_spectrum(state.mean_occupancy, cutoff)
     return d * np.sqrt(eta)
@@ -273,8 +255,8 @@ def displaced_thermal_fidelity(
     delta = |alpha2 - alpha1|. State 1's factor is then diag(sqrt(eta1)) and
     state 2's is D(delta) sqrt(eta2), so uhlmann_fidelity's cross matrix is
     the adjoint of sqrt(eta1) D(delta) sqrt(eta2), formed by two scalings.
-    D(delta) is real at real delta >= 0, every phase +1 or -1, and is built
-    and memoized as a real array (see _real_displacement). The thermal
+    D(delta) is real at real delta >= 0, every phase +1 or -1, and
+    displacement_matrix builds and memoizes it as a real array. The thermal
     weights leave most trailing rows and columns of that matrix below
     round-off, so its nuclear norm is taken over the leading k x k
     block whose dropped rows and columns weigh at most eps/8 of it (see
@@ -287,9 +269,7 @@ def displaced_thermal_fidelity(
     """
     delta = state2.displacement - state1.displacement
     _squared_modulus(delta, "alpha2 - alpha1")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    d = _real_displacement(abs(delta), cutoff)
+    d = displacement_matrix(abs(delta), cutoff)
     eta1 = thermal_spectrum(state1.mean_occupancy, cutoff)
     eta2 = thermal_spectrum(state2.mean_occupancy, cutoff)
     return _squared_nuclear_norm(d, eta1, eta2)

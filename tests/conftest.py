@@ -25,7 +25,6 @@ def release_cache():
     counts."""
     yield
     fock_oracle._displacement_entries.cache_clear()
-    fock_oracle._real_displacement.cache_clear()
     fock_oracle._recurrence_constants.cache_clear()
     gaussian_overlap._triangular_factor.cache_clear()
     states._check_symplectic.cache_clear()

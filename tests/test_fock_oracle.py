@@ -134,6 +134,26 @@ def parent_displacement_entries(alpha: complex, n: int) -> np.ndarray:
     return out
 
 
+def assert_parent_bytes(entries: np.ndarray, alpha: complex, n: int) -> None:
+    """Assert that ``entries`` hold the bytes of parent_displacement_entries:
+    all of them at complex alpha, and at real alpha, where D is real, its real
+    part as a float64 array.
+
+    At real alpha the complex build's real part is phase.real * E -
+    phase.imag * 0.0 with phase.real = +1 or -1: E itself, except that a -0.0
+    entry turns into +0.0 wherever the phase's zero or round-off imaginary
+    part is negative. Adding +0.0 to both sides maps -0.0 to +0.0 and changes
+    no other bit.
+    """
+    alpha = complex(alpha)
+    parent = parent_displacement_entries(alpha, n)
+    if alpha.imag != 0:
+        assert entries.tobytes() == parent.tobytes()
+    else:
+        assert entries.dtype == np.float64
+        assert (entries + 0.0).tobytes() == (parent.real + 0.0).tobytes()
+
+
 def scalar_displacement(alpha: complex, n: int) -> np.ndarray:
     """D(alpha) from two scalar passes, the k < l entries from
     D(alpha)^dag = D(-alpha), with bare Laguerre values: the reference
@@ -231,7 +251,7 @@ def test_displacement_equals_scalar_recurrence(alpha, n):
     # The normalized recurrence rounds differently; measured max 7.0e-14.
     computed = displacement_matrix(alpha, n)
     assert np.max(np.abs(computed - scalar_displacement(alpha, n))) <= 1e-13
-    assert computed.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
+    assert_parent_bytes(computed, alpha, n)
 
 
 def test_displacement_entries_are_read_only():
@@ -317,7 +337,7 @@ def test_displacement_matches_mpmath(alpha, n, bound):
     # 40 seeded entries per case: 20 among those above 1e-3 in modulus, where
     # round-off shows, and 20 anywhere in the matrix.
     entries = displacement_matrix(alpha, n)
-    assert entries.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
+    assert_parent_bytes(entries, alpha, n)
     rng = np.random.default_rng(n)
     large = np.argwhere(np.abs(entries) > 1e-3)
     picks = [*large[rng.integers(0, len(large), 20)], *rng.integers(0, n, (20, 2))]
@@ -335,13 +355,12 @@ def test_displacement_matches_mpmath(alpha, n, bound):
     n=st.integers(1, 400),
 )
 def test_displacement_properties(radius, angle, n):
-    # The memo's keys -a + 0j and -a - 0j compare equal, yet their phases
-    # differ in the last bit above order 100; compute both matrices afresh.
+    # Build both matrices afresh, not from an earlier example's memo entry.
     fock_oracle._displacement_entries.cache_clear()
     alpha = radius * cmath.exp(1j * angle)
     entries = displacement_matrix(alpha, n)
     negated = displacement_matrix(-alpha, n)
-    assert entries.tobytes() == parent_displacement_entries(alpha, n).tobytes()
+    assert_parent_bytes(entries, alpha, n)
     assert np.all(np.isfinite(entries))
     assert np.max(np.abs(entries)) <= 1 + 1e-12
     assert np.array_equal(entries.conj().T, negated)
@@ -355,8 +374,7 @@ def test_displacement_properties(radius, angle, n):
 def test_displacement_bytes_match_the_reference(alpha, n):
     # The reference runs in the same process on the same numpy, so the check
     # holds however a platform's exp rounds.
-    entries = displacement_matrix(alpha, n)
-    assert entries.tobytes() == parent_displacement_entries(complex(alpha), n).tobytes()
+    assert_parent_bytes(displacement_matrix(alpha, n), alpha, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -374,16 +392,20 @@ def test_displacement_matrices_never_share_the_scratch_table(n):
 
 
 def test_displacement_fills_from_threads_do_not_interleave():
-    # Every fresh matrix fills the cutoff's one scratch table; with a switch
-    # interval of a microsecond, threads that interleaved their fills would
-    # build wrong matrices.
+    # Every fresh matrix, real or complex, fills the cutoff's one scratch
+    # table; with a switch interval of a microsecond, threads that
+    # interleaved their fills would build wrong matrices. Every third alpha
+    # is real, of either sign.
     threads, per_thread, n = 4, 150, 80
     rng = np.random.default_rng(71)
     radii = 3.0 * np.sqrt(rng.random(threads * per_thread))
     angles = 2.0 * np.pi * rng.random(threads * per_thread)
     alphas = [cmath.rect(r, a) for r, a in zip(radii, angles)]
+    for i in range(0, len(alphas), 3):
+        alphas[i] = complex(radii[i] if angles[i] < np.pi else -radii[i])
     assert len(set(alphas)) == len(alphas)
-    expected = [parent_displacement_entries(alpha, n).tobytes() for alpha in alphas]
+    parents = [parent_displacement_entries(alpha, n) for alpha in alphas]
+    expected = [(p.real if a.imag == 0 else p).tobytes() for a, p in zip(alphas, parents)]
     build = fock_oracle._displacement_entries.__wrapped__
     wrong = [None] * threads
 
@@ -421,20 +443,33 @@ def test_displacement_of_zero_is_identity():
 SQUARE_ROUNDING = 1.6174868627108212
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 80, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 80, 200, 300])
 def test_real_displacement_is_the_real_part_of_the_complex_matrix(n):
-    # At real alpha >= 0 the oracle's real table holds every entry of D as
-    # the real part of the complex matrix does, in half the bytes. At the
-    # radius SQUARE_ROUNDING, radius**2, the |alpha|^2 the complex matrix
-    # takes, and radius * radius differ in the last bit.
+    # At real alpha D holds every entry of the complex build's real part, in
+    # half the bytes and with none of the imaginary round-off a complex phase
+    # power leaves above order 100. At the radius SQUARE_ROUNDING, radius**2,
+    # the |alpha|^2 the complex build takes, and radius * radius differ in
+    # the last bit.
     assert SQUARE_ROUNDING**2 != SQUARE_ROUNDING * SQUARE_ROUNDING
     rng = np.random.default_rng(n)
-    radii = [0.0, 1e-3, 0.36, 1.0, 2**0.5, SQUARE_ROUNDING, 5.0, 20.0, *rng.uniform(0, 3, 5)]
-    for radius in radii:
-        table = fock_oracle._real_displacement(float(radius), n)
+    radii = [0.0, 1e-3, 0.36, 1.0, 2**0.5, SQUARE_ROUNDING, 5.0, 10.0, 20.0,
+             *rng.uniform(-3, 3, 5)]
+    for radius in [*radii, -SQUARE_ROUNDING, -5.0]:
+        table = displacement_matrix(float(radius), n)
         assert table.dtype == np.float64 and table.nbytes == 8 * n * n
         assert not table.flags.writeable
-        assert np.array_equal(table, displacement_matrix(radius, n).real)
+        assert_parent_bytes(table, radius, n)
+
+
+@pytest.mark.parametrize("a,n", [(1.5, 200), (0.7, 150), (5.0, 101)])
+def test_displacement_at_negative_real_alpha_ignores_the_sign_of_zero(a, n):
+    # The memo takes complex(-a, 0.0) and complex(-a, -0.0) for one key, so
+    # fresh builds of the two must give the same bytes.
+    fock_oracle._displacement_entries.cache_clear()
+    plus = displacement_matrix(complex(-a, 0.0), n)
+    fock_oracle._displacement_entries.cache_clear()
+    minus = displacement_matrix(complex(-a, -0.0), n)
+    assert plus.tobytes() == minus.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.5 + 0.3j, -1.2 + 0.8j, 2.0 - 1.5j, 0.1j])
@@ -611,25 +646,27 @@ def test_uhlmann_of_constructed_states_needs_no_eigendecomposition(monkeypatch):
 def test_oracle_forms_no_density_product(monkeypatch):
     # The route, in the frame of state 1, builds no displaced thermal factor
     # at all: it takes one real displacement matrix, at the real
-    # |alpha2 - alpha1|, and no complex one.
+    # |alpha2 - alpha1|, and no complex one. It looks displacement_matrix up
+    # by its module name, so a wrapper bound there, as a tracer binds one,
+    # sees the call.
     state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle route built a complex or displaced thermal factor")
+        raise AssertionError("the oracle route built a displaced thermal factor")
 
-    arguments = []
-    real_displacement = fock_oracle._real_displacement
+    calls = []
 
-    def recording(radius, cutoff):
-        arguments.append(radius)
-        return real_displacement(radius, cutoff)
+    def recording(alpha, cutoff):
+        calls.append((alpha, cutoff, displacement_matrix(alpha, cutoff)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(fock_oracle, "displaced_thermal_matrix", refuse)
-    monkeypatch.setattr(fock_oracle, "displacement_matrix", refuse)
-    monkeypatch.setattr(fock_oracle, "_real_displacement", recording)
+    monkeypatch.setattr(fock_oracle, "displacement_matrix", recording)
     # The golden ``fidelity --all-routes`` pair.
     assert 0.0 < routes.compute_route("oracle", state1, state2, 80).fidelity < 1.0
-    assert arguments == [abs(1.0 + 1.0j)]
+    [(alpha, cutoff, entries)] = calls
+    assert type(alpha) is float and alpha == abs(1.0 + 1.0j) and cutoff == 80
+    assert entries.dtype == np.float64
 
 
 def test_oracle_at_large_common_displacement_meets_closed_form():
