@@ -15,7 +15,7 @@ from .states import DisplacedThermalState, _squared_modulus
 #: Largest accepted mean occupancy, the limit of the two Gaussian routes: their
 #: relative error stays within 8 eps (max(1, n1, n2) + |ln F|), which grows
 #: linearly in n. The closed form alone stays within 2.7e-16 up to n = 1e15;
-#: a cap per route is ROADMAP item 3.
+#: a cap per route is ROADMAP item 4.
 MAX_OCCUPANCY = 1e8
 
 

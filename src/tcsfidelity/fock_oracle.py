@@ -12,12 +12,11 @@ purifications. A density matrix rho = B B^dag is purified by the amplitude
 matrix B, and the maximum over all purifications is the squared nuclear norm
 ||B2^dag B1||_*^2. A state is therefore passed as its factor B, a plain
 N x N array, and rho itself is never formed. The fidelity costs one factor
-product and one singular-value decomposition, with no density product, no
-matrix square root and no eigenvalue clipping. For two displaced thermal
-states, displaced_thermal_fidelity works in the frame of the first, where the
-cross matrix is real and needs no product at all, and takes the SVD of its
-leading block only: the rows and columns it drops are bounded to move the
-fidelity by a quarter of an ulp at most.
+product and one SVD of its leading block, whose dropped rows and columns are
+bounded to move the fidelity by a quarter of an ulp at most, with no density
+product, no matrix square root and no eigenvalue clipping. For two displaced
+thermal states, displaced_thermal_fidelity works in the frame of the first,
+where the cross matrix is real and needs no product at all.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -228,19 +227,18 @@ def uhlmann_fidelity(factor1: np.ndarray, factor2: np.ndarray) -> float:
     and the nuclear norm is unitarily invariant, so it equals
     ||sqrt(rho2) sqrt(rho1)||_*. No square root is taken, so round-off enters
     linearly, and rho = B B^dag is never formed: the cost is one factor
-    product and one SVD. A caller who holds only rho picks the factor, for
-    example a Cholesky factor or V sqrt(w) from an eigendecomposition with a
-    floor of their choosing. Factors that are not square or not of one shape
-    raise ValueError.
+    product and one SVD of its leading block (see _squared_nuclear_norm). A
+    caller who holds only rho picks the factor, for example a Cholesky factor
+    or V sqrt(w) from an eigendecomposition with a floor of their choosing.
+    Factors that are not square or not of one shape raise ValueError.
     """
     shape = factor1.shape
     if len(shape) != 2 or shape[0] != shape[1] or factor2.shape != shape:
         raise ValueError(
             f"factors must be square and of one shape, got {shape} and {factor2.shape}"
         )
-    cross = factor2.conj().T @ factor1
-    singular_values = np.linalg.svd(cross, compute_uv=False)
-    return float(np.sum(singular_values) ** 2)
+    ones = np.ones(shape[0])
+    return _squared_nuclear_norm(factor2.conj().T @ factor1, ones, ones)
 
 
 def displaced_thermal_fidelity(
@@ -286,8 +284,8 @@ _SQUARES_FLOOR = 1e-200
 
 
 def _squared_nuclear_norm(d: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> float:
-    """||M||_*^2 of M = diag(sqrt(eta1)) d diag(sqrt(eta2)), from the
-    singular values of its leading k x k block alone.
+    """||M||_*^2 of M = diag(sqrt(eta1)) d diag(sqrt(eta2)), real or complex
+    d, from the singular values of its leading k x k block alone.
 
     Dropping rows and columns changes the nuclear norm by at most the sum of
     their 2-norms (triangle inequality), and never raises it
@@ -296,17 +294,19 @@ def _squared_nuclear_norm(d: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> 
     therefore lies within tail[k] below ||M||_*, and ||M||_* is at least the
     largest row norm. k is the smallest size whose tail is at most
     _PRUNE_TOLERANCE times that row norm. The squared norms are two
-    matrix-vector products of d * d with the weights, so only the block is
-    scaled. Where the last row's norm alone exceeds _PRUNE_TOLERANCE, the
-    bound whenever no row norm exceeds 1, as for the oracle's factors, k is N
-    at once; elsewhere that shortcut only keeps more than needed.
+    matrix-vector products of (d * conj(d)).real, conj(d) being d at real d,
+    with the weights, so only the block is scaled. Where the last row's norm
+    alone exceeds _PRUNE_TOLERANCE, the bound whenever no row norm exceeds 1,
+    as for the oracle's factors, k is N at once; elsewhere that shortcut only
+    keeps more than needed. k is N also where the largest squared row norm
+    is below _SQUARES_FLOOR, or is not finite and every tail would pass.
     """
     k = len(eta1)
-    if eta1[-1] * (d[-1] * d[-1] @ eta2) <= _PRUNE_TOLERANCE**2:
-        squares = d * d
+    if k and eta1[-1] * ((d[-1] * d[-1].conj()).real @ eta2) <= _PRUNE_TOLERANCE**2:
+        squares = (d * d.conj()).real
         rows = eta1 * (squares @ eta2)
         largest = rows.max()
-        if largest >= _SQUARES_FLOOR:
+        if _SQUARES_FLOOR <= largest < math.inf:
             norms = np.sqrt(rows) + np.sqrt(eta2 * (eta1 @ squares))
             tail = np.cumsum(norms[::-1])[::-1]
             # tail never rises with k, so the sizes it rules out are 1, ..., k - 1.
@@ -336,7 +336,7 @@ def cf_table(amplitudes: np.ndarray, lambdas1, lambdas2) -> np.ndarray:
     pair, table[i, j] at (lambdas1[i], lambdas2[j]).
 
     Each distinct displacement matrix is built once per call and all are held
-    until it returns, 16 * N^2 bytes apiece.
+    until it returns: 8 * N^2 bytes apiece at real lambda, 16 * N^2 at complex.
     """
     cutoff = amplitudes.shape[0]
     d = {

@@ -712,13 +712,17 @@ def test_pruned_nuclear_norm_meets_the_full_svd(n, s1, s2, band, scale, seed):
     # s = 1 leaves the weights flat, so that nothing is pruned, and scale 0 is
     # the all-zero matrix. At scale 1e-120 the largest squared row norm is
     # below the floor under which squares may underflow, and nothing is pruned.
+    # The same moduli with seeded phases give the complex case, as
+    # uhlmann_fidelity passes its cross matrix.
     index = np.arange(n)
-    d = np.random.default_rng(seed).standard_normal((n, n))
-    d *= scale * band ** np.abs(index[:, None] - index)
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((n, n))
+    real *= scale * band ** np.abs(index[:, None] - index)
     eta1, eta2 = s1**index, s2**index
-    full = full_squared_nuclear_norm(d, eta1, eta2)
-    pruned = fock_oracle._squared_nuclear_norm(d, eta1, eta2)
-    assert abs(pruned - full) <= 8 * np.finfo(float).eps * full
+    for d in (real, real * np.exp(2j * np.pi * rng.random((n, n)))):
+        full = full_squared_nuclear_norm(d, eta1, eta2)
+        pruned = fock_oracle._squared_nuclear_norm(d, eta1, eta2)
+        assert abs(pruned - full) <= 8 * np.finfo(float).eps * full
 
 
 def test_pruning_keeps_the_rows_whose_squares_underflow():
@@ -728,12 +732,22 @@ def test_pruning_keeps_the_rows_whose_squares_underflow():
     d, ones = np.diag([1e-150, 0.0, 1e-164]), np.ones(3)
     pruned = fock_oracle._squared_nuclear_norm(d, ones, ones)
     assert pruned == full_squared_nuclear_norm(d, ones, ones)
+    # The squares of the middle rows overflow to inf, so every tail compares
+    # below the tolerance: pruned to its first row, the value would come out
+    # a finite 1e-6 in place of the overflowed inf.
+    d, ones = np.diag([1e-3, 1e200, 1e200, 1e-30]), np.ones(4)
+    with np.errstate(over="ignore"):
+        pruned = fock_oracle._squared_nuclear_norm(d, ones, ones)
+        assert pruned == full_squared_nuclear_norm(d, ones, ones) == math.inf
+        assert uhlmann_fidelity(d.astype(complex), np.eye(4)) == math.inf
 
 
 @pytest.mark.parametrize("n1, n2, dalpha, size", [
-    # The golden pair: the last row's norm is 1.6e-26, far below eps.
+    # The golden pair: the last row's norm is 1.6e-26, far below eps. The
+    # general API's cross matrix of the two factors prunes to the same block.
     (1.0, 0.5, 1.0 + 1.0j, 55),
-    # s1 = 10/11, s2 = 5/6: the last row's norm is 4.7e-6, and nothing is pruned.
+    # s1 = 10/11, s2 = 5/6: the last row's norm is 4.7e-6, and neither the
+    # route nor the general API prunes anything.
     (10.0, 5.0, 1.0, 80),
 ])
 def test_oracle_takes_the_svd_of_the_leading_block(monkeypatch, n1, n2, dalpha, size):
@@ -746,11 +760,17 @@ def test_oracle_takes_the_svd_of_the_leading_block(monkeypatch, n1, n2, dalpha, 
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     alpha1 = 0.3 - 0.2j
-    value = displaced_thermal_fidelity(make_state(n1, alpha1), make_state(n2, alpha1 + dalpha), 80)
-    assert shapes == [(size, size)]
+    state1, state2 = make_state(n1, alpha1), make_state(n2, alpha1 + dalpha)
+    value = displaced_thermal_fidelity(state1, state2, 80)
+    factor1, factor2 = displaced_thermal_matrix(state1, 80), displaced_thermal_matrix(state2, 80)
+    general = uhlmann_fidelity(factor1, factor2)
+    assert shapes == [(size, size)] * 2
     d = displacement_matrix(abs(dalpha), 80).real
     full = full_squared_nuclear_norm(d, thermal_spectrum(n1, 80), thermal_spectrum(n2, 80))
     assert abs(value - full) <= 8 * np.finfo(float).eps * full
+    ones = np.ones(80)
+    full = full_squared_nuclear_norm(factor2.conj().T @ factor1, ones, ones)
+    assert abs(general - full) <= 8 * np.finfo(float).eps * full
 
 
 def test_oracle_at_a_large_cutoff_meets_closed_form():
@@ -977,3 +997,8 @@ def test_uhlmann_rejects_non_square_factors(shape1, shape2):
     message = f"factors must be square and of one shape, got {shape1} and {shape2}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         uhlmann_fidelity(np.ones(shape1, dtype=complex), np.ones(shape2, dtype=complex))
+
+
+def test_uhlmann_of_empty_factors_is_zero():
+    # A 0 x 0 cross matrix has no last row to read and no singular value.
+    assert uhlmann_fidelity(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
