@@ -12,6 +12,7 @@ The values come from ``routes``; this module parses flags and formats results.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -116,6 +117,10 @@ def _emit_json(**fields) -> None:
 #: The columns of ``fidelity --csv``: a report's fields but its diagnostics.
 REPORT_COLUMNS = ("route", "fidelity", "bures_distance", "beta_star", "cutoff")
 
+#: The columns of ``cf-grid``; the last two only with ``--oracle-check``.
+CF_COLUMNS = ("re_l1", "im_l1", "re_l2", "im_l2", "re_chi", "im_chi",
+              "re_chi_oracle", "im_chi_oracle")
+
 
 def _echo_csv(columns: tuple[str, ...], rows: list[dict]) -> None:
     """A header, then each row's fields by str (a float's shortest round-trip
@@ -150,6 +155,13 @@ def _resolve_thermal(n: float | None, ratio: float | None, label: str) -> states
 
 
 def _state_options(command):
+    """Give ``command`` the flags of two states; it is called with the states."""
+    @functools.wraps(command)
+    def build_states(n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2, **flags):
+        state1 = states.DisplacedThermalState(_resolve_thermal(n1, temp_ratio1, "n1"), alpha1)
+        state2 = states.DisplacedThermalState(_resolve_thermal(n2, temp_ratio2, "n2"), alpha2)
+        return command(state1, state2, **flags)
+
     decorators = [
         click.option("--n1", type=float, help="Mean occupancy of state 1."),
         click.option("--n2", type=float, help="Mean occupancy of state 2."),
@@ -163,8 +175,8 @@ def _state_options(command):
                      help="Displacement of state 2."),
     ]
     for decorator in reversed(decorators):
-        command = decorator(command)
-    return command
+        build_states = decorator(build_states)
+    return build_states
 
 
 @contextlib.contextmanager
@@ -172,7 +184,7 @@ def _exit_codes(ctx: click.Context):
     """Map the library failures raised inside to ExitCodeCommand's exit codes."""
     try:
         yield
-    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, MemoryError) as exc:
         # A MemoryError from a failed allocation may carry no message.
         _fail(str(exc) or type(exc).__name__)
     except ValueError as exc:
@@ -182,11 +194,10 @@ def _exit_codes(ctx: click.Context):
 class ExitCodeCommand(click.Command):
     """A command whose library failures follow the exit codes.
 
-    Numerical failures (ArithmeticError, numpy.linalg.LinAlgError) and a
-    MemoryError, as from a cutoff whose matrices do not fit or a grid count
-    whose values do not, exit 1 with an ``error:`` line; any other ValueError
-    is an input outside the library's domain, a usage error that exits 2.
-    Failures while the flags are read map the same way as in the command.
+    A numerical failure (ArithmeticError) or a MemoryError, as from a cutoff
+    or grid count whose arrays do not fit, exits 1 with an ``error:`` line;
+    any other ValueError is an input outside the library's domain, a usage
+    error that exits 2. Failures while the flags are read map the same way.
     """
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
@@ -229,13 +240,8 @@ main.command_class = ExitCodeCommand
     help="With --all-routes: exit 1 if the max pairwise discrepancy exceeds this.",
 )
 @click.option("--json/--csv", "emit_json", default=True, help="Output format.")
-def fidelity(
-    n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2,
-    route, all_routes, cutoff, tol, emit_json,
-):
+def fidelity(state1, state2, route, all_routes, cutoff, tol, emit_json):
     """Fidelity and Bures distance between two displaced thermal states."""
-    state1 = states.DisplacedThermalState(_resolve_thermal(n1, temp_ratio1, "n1"), alpha1)
-    state2 = states.DisplacedThermalState(_resolve_thermal(n2, temp_ratio2, "n2"), alpha2)
     names = routes.ROUTES if all_routes else [route.replace("-", "_")]
     results = routes.compare(state1, state2, names, cutoff)
     reports = [result.report() for result in results.values()]
@@ -255,11 +261,9 @@ def fidelity(
 
 @main.command()
 @_state_options
-def optimize(n1, n2, temp_ratio1, temp_ratio2, alpha1, alpha2):
+def optimize(state1, state2):
     """Maximize the purification overlap numerically and compare with the
     analytic optimum."""
-    state1 = states.DisplacedThermalState(_resolve_thermal(n1, temp_ratio1, "n1"), alpha1)
-    state2 = states.DisplacedThermalState(_resolve_thermal(n2, temp_ratio2, "n2"), alpha2)
     result = routes.compute_route("purification_optimized", state1, state2)
     analytic = closed_form.optimal_beta(state1, state2)
     _emit_json(
@@ -293,14 +297,12 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
     # Every value is computed before the first row is printed, so a numerical
     # failure leaves stdout empty.
     table, oracle, worst = routes.cf_grid(spec, lambdas1, lambdas2, oracle_check)
-    header = "re_l1,im_l1,re_l2,im_l2,re_chi,im_chi"
-    if oracle is not None:
-        header += ",re_chi_oracle,im_chi_oracle"
-    _echo(header)
+    rows = []
     for i, l1 in enumerate(lambdas1):
         for j, l2 in enumerate(lambdas2):
             values = [l1, l2, table[i][j], *([] if oracle is None else [oracle[i][j]])]
-            _echo(",".join(map(routes.format_complex, values)))
+            rows.append(dict(zip(CF_COLUMNS, (x for z in values for x in (z.real, z.imag)))))
+    _echo_csv(CF_COLUMNS[:len(rows[0])], rows)
     if worst is not None:
         _echo(f"# max_abs_deviation={worst!r}")
         if tol is not None and worst > tol:

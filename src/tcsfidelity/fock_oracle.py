@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -61,38 +62,35 @@ def _recurrence_constants(n: int) -> tuple:
     needs whatever alpha is, memoized for the most recent cutoff only.
 
     Returns the orders, half the log-factorials, the ramp 0, 1, ..., 2n - 1,
-    the buffer that holds ramp - x, the n x n scratch table the recurrence
-    fills, the four views step 0 reads and writes (None at n = 1), a tuple of
-    the seven views of each step l >= 1 and the below-diagonal mask of one
-    mirror block. Step l divides by sqrt((l+1)(l+o+1)), a view of one packed
-    buffer of n (n - 1) / 2 floats, and scales its lag term by
-    sqrt(l (l+o)), a prefix of the step before's divisors. The scratch table
-    and the buffers are shared by every caller: fill them only under
-    _SCRATCH_LOCK.
+    the buffer of ramp - x, the n x n scratch table, the seven views of each
+    step l and the below-diagonal mask of one mirror block. Step l divides by
+    sqrt((l+1)(l+o+1)) and scales its lag by sqrt(l (l+o)), the step before's
+    divisors, in one packed buffer led by a row of zeros: the scale of step 0,
+    whose lag reads the zero row that pads the table. The scratch table and
+    the buffers are shared by every caller: fill them only under _SCRATCH_LOCK.
     """
     order = np.arange(n)
     half_log_fact = 0.5 * np.array([math.lgamma(o + 1.0) for o in range(n)])
     ramp = np.arange(2.0 * n)
-    packed = np.empty(n * (n - 1) // 2)
-    divisors, start = [], 0
-    for l in range(n - 1):
-        row = packed[start:start + n - 1 - l]
+    # Row l + 1 of divisors is sqrt((l+1)(l+o+1)), from l = -1 on: zeros first.
+    divisors = np.split(np.empty(n * (n + 1) // 2), np.cumsum(np.arange(n, 1, -1)))
+    for l, row in enumerate(divisors, -1):
         np.sqrt(np.multiply(l + 1.0, ramp[l + 1:n], row), row)
-        divisors.append(row)
-        start += n - 1 - l
     shifted = np.empty(2 * n)
-    table = np.empty((n, n))
-    products = np.empty(max(n - 2, 0))
-    first = None if n == 1 else (shifted[1:n], table[0, :-1], table[1, 1:], divisors[0])
+    # Row l - 1 of the table, from its diagonal on, starts at padded[l (n + 1)]:
+    # at l = 0 that is the n + 1 zeros ahead of the table.
+    padded = np.zeros(n * n + n + 1)
+    table = padded[n + 1:].reshape(n, n)
+    products = np.empty(n - 1)
     # Step l writes row l + 1 of the upper triangle from rows l and l - 1:
     # (2l+o+1 - x, E_l, E_{l+1}, sqrt(l(l+o)), E_{l-1}, product, divisor).
     steps = tuple(
         (shifted[2 * l + 1:n + l], table[l, l:-1], table[l + 1, l + 1:],
-         divisors[l - 1][:-1], table[l - 1, l - 1:-2], products[l - 1:], divisors[l])
-        for l in range(1, n - 1)
+         divisors[l][:-1], padded[l * (n + 1):(l + 1) * n - 1], products[l:], divisors[l + 1])
+        for l in range(n - 1)
     )
     below = np.tri(n, min(n, _MIRROR_BLOCK), -1, dtype=bool)
-    return order, half_log_fact, ramp, shifted, table, first, steps, below
+    return order, half_log_fact, ramp, shifted, table, steps, below
 
 
 #: Held from the fill of a plan's scratch table until the product that reads
@@ -112,20 +110,13 @@ def _fill_entries(x: float, radius: float, n: int) -> np.ndarray:
     holds for it, reading rows l and l - 1. The lower triangle is then
     mirrored in square blocks.
     """
-    order, half_log_fact, ramp, shifted, table, first, steps, below = (
-        _recurrence_constants(n)
-    )
+    order, half_log_fact, ramp, shifted, table, steps, below = _recurrence_constants(n)
     np.exp(order * math.log(radius) - 0.5 * x - half_log_fact, table[0])
     # Whole numbers, exact as floats: 2l + o + 1 is a slice of the ramp.
     np.subtract(ramp, x, shifted)
     # At small n each ufunc call costs more than its arithmetic, so the
     # loop writes through positional ``out`` arguments of local names.
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
-    if first is not None:
-        # Step 0 has no lag term: E_{-1} = 0, and subtracting +0.0 changes
-        # no bit.
-        shift, here, following, divisor = first
-        divide(multiply(shift, here, following), divisor, following)
     for shift, here, following, scale, lag, product, divisor in steps:
         multiply(shift, here, following)
         multiply(scale, lag, product)
@@ -200,10 +191,11 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     memoized per (alpha, cutoff) in one bounded cache of 8 matrices, at most
     8 * 16 * N^2 bytes, and the array is shared between callers, so it is
     read-only. Accuracy of the truncation degrades once |alpha|^2 approaches
-    the cutoff. A non-finite alpha or a cutoff below 1 raises ValueError, and
-    an alpha whose |alpha|^2 overflows raises OverflowError.
+    the cutoff. A cutoff that is no integer raises TypeError, one below 1 or a
+    non-finite alpha ValueError, and an overflowing |alpha|^2 OverflowError.
     """
     alpha = _validate_complex(alpha, "alpha")
+    cutoff = operator.index(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     return _displacement_entries(alpha, cutoff)

@@ -12,8 +12,11 @@ or a test does, is seen by every route.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import closed_form, fock_oracle, gaussian_overlap, optimizer, states
 
@@ -114,14 +117,19 @@ def compute_route(
 ) -> RouteResult:
     """Fidelity of two displaced thermal states by the route ``name``.
 
-    Only the oracle uses ``cutoff``; every route refuses one below 1. Inputs
-    outside a route's domain raise ValueError; numerical failures raise
-    ArithmeticError or numpy.linalg.LinAlgError, which subclasses ValueError
-    and so must be caught first.
+    Only the oracle uses ``cutoff``, an integer; every route refuses one below
+    1, and an unknown name. Inputs outside a route's domain raise ValueError,
+    and numerical failures ArithmeticError, numpy's LinAlgError raised as one.
     """
+    cutoff = operator.index(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    return ROUTES[name](state1, state2, cutoff)
+    if name not in ROUTES:
+        raise ValueError(f"unknown route {name!r}; routes: {', '.join(ROUTES)}")
+    try:
+        return ROUTES[name](state1, state2, cutoff)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(str(exc)) from exc
 
 
 def compare(

@@ -180,22 +180,24 @@ class GaussianForm:
 def purification_cf(spec: PurificationSpec, lambda1: complex, lambda2: complex) -> complex:
     """Two-mode CF of the Gaussian purification.
 
-    chi(l1, l2) = exp[-(n+1/2)(|l1|^2 + |l2|^2) + sqrt(n(n+1)) (l1 l2 + l1* l2*)]
-                  * exp[l1 a* - l1* a + l2 b* - l2* b]
+    chi(l1, l2) = exp[-(n+1/2)|l1 - l2*|^2 - Re(l1 l2) / (2 (n+1/2 + sqrt(n(n+1))))]
+                  * exp[l1 a* - l1* a + l2 b* - l2* b],
 
-    Setting lambda2 = 0 recovers the mode-1 marginal CF independently of beta,
-    and symmetrically for lambda1 = 0.
+    -(n+1/2)(|l1|^2 + |l2|^2) + 2 sqrt(n(n+1)) Re(l1 l2) without its cancellation
+    on the ridge l2 = l1*. Setting lambda2 = 0 recovers the mode-1 marginal CF
+    independently of beta, and symmetrically for lambda1 = 0.
     """
     l1 = complex(lambda1)
     l2 = complex(lambda2)
     n = spec.thermal.mean_occupancy
-    # A zero product is kept as it is: past n of about 1.3e154, n (n + 1)
-    # overflows, and inf * 0 would make the marginals NaN.
-    product = (l1 * l2).real
-    cross = math.sqrt(n * (n + 1.0)) * 2.0 * product if product else product
-    quad = -(n + 0.5) * (
-        _squared_modulus(l1, "lambda1") + _squared_modulus(l2, "lambda2")
-    ) + cross
+    _squared_modulus(l1, "lambda1")
+    _squared_modulus(l2, "lambda2")
+    gap = abs(l1 - l2.conjugate())
+    # From gap = 1e154 on, |chi| < exp(-gap^2 / 4) underflows to 0, and
+    # gap^2 may overflow.
+    square = gap**2 if gap < 1e154 else math.inf
+    root = math.sqrt(n) * math.sqrt(n + 1.0)
+    quad = -(n + 0.5) * square - (l1 * l2).real / (2.0 * (n + 0.5 + root))
     disp = (
         l1 * spec.alpha.conjugate()
         - l1.conjugate() * spec.alpha

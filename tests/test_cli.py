@@ -680,6 +680,22 @@ def test_out_of_memory_is_a_numerical_failure(runner, monkeypatch, layer, args):
         assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args", [
+    ["fidelity", "--route", "oracle"],
+    ["sweep", "--routes", "oracle"],
+], ids=["fidelity", "sweep"])
+def test_a_linear_algebra_failure_is_a_numerical_failure(runner, monkeypatch, args):
+    def refuse(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: SVD did not converge\n"
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_cli_reaches_the_route_layers_only_through_routes():
     # cli.py parses and formats; what it prints is computed by routes and the
     # modules that define the domain types.

@@ -240,6 +240,11 @@ def test_thermal_spectrum_values():
     assert np.allclose(eta, [s**j / 3.0 for j in range(6)], rtol=1e-15)
 
 
+def test_thermal_spectrum_refuses_a_negative_occupancy():
+    with pytest.raises(ValueError, match=r"^nbar must be >= 0, got -1.0$"):
+        thermal_spectrum(-1.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------

@@ -195,6 +195,43 @@ def test_every_route_refuses_a_cutoff_below_one(name, cutoff):
         compute_route(name, STATE1, STATE2, cutoff)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_cutoff_that_is_no_integer_fails_alike_cold_or_warm(warm):
+    # The displacement memo's key (delta, 80.0) equals (delta, 80), so a memo
+    # warmed at cutoff 80 would otherwise answer the float cutoff.
+    delta = abs(STATE2.displacement - STATE1.displacement)
+    if warm:
+        compute_route("oracle", STATE1, STATE2, CUTOFF)
+    message = "^'float' object cannot be interpreted as an integer$"
+    with pytest.raises(TypeError, match=message):
+        compute_route("oracle", STATE1, STATE2, 80.0)
+    with pytest.raises(TypeError, match=message):
+        fock_oracle.displacement_matrix(delta, 80.0)
+    result = compute_route("oracle", STATE1, STATE2, np.int64(CUTOFF))
+    assert type(result.cutoff) is int
+    assert result.report()["cutoff"] == CUTOFF
+
+
+def test_an_unknown_route_name_is_a_usage_error():
+    listed = "closed_form, oracle, purification_optimized, gaussian_overlap"
+    with pytest.raises(ValueError, match=f"^unknown route 'nope'; routes: {listed}$"):
+        compute_route("nope", STATE1, STATE2)
+    # A bare string is an iterable of one-letter names.
+    with pytest.raises(ValueError, match="^unknown route 'o'; "):
+        compare(STATE1, STATE2, "oracle")
+
+
+def test_a_linear_algebra_failure_is_an_arithmetic_error(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    with pytest.raises(ArithmeticError, match="^SVD did not converge$") as info:
+        compute_route("oracle", STATE1, STATE2, CUTOFF)
+    # One numerical-failure class: no longer also a ValueError.
+    assert not isinstance(info.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # what the command line prints
 # ---------------------------------------------------------------------------

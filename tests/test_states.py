@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -258,6 +259,28 @@ def test_purification_cf_modulus_bounded():
         lam1 = complex(*rng.normal(0, 1.2, 2))
         lam2 = complex(*rng.normal(0, 1.2, 2))
         assert abs(purification_cf(spec, lam1, lam2)) <= 1.0 + 1e-12
+    # On the ridge lambda2 = lambda1*, and within 1 / sqrt(n) of it, the two
+    # O(n) terms of the exponent cancel to O(1): every occupancy up to 1e300
+    # must still meet the reference, taken from the textbook form with the
+    # digits its cancellation needs.
+    for exponent in range(0, 301, 4):
+        n = 10.0**exponent * rng.uniform(1, 10)
+        spec = make_spec(n, complex(*rng.normal(0, 1, 2)), complex(*rng.normal(0, 1, 2)))
+        lam1 = complex(*rng.normal(0, 1, 2))
+        nearby = lam1.conjugate() + complex(*rng.normal(0, 1, 2)) / math.sqrt(n + 1.0)
+        for lam2 in (lam1.conjugate(), nearby):
+            chi = purification_cf(spec, lam1, lam2)
+            with mpmath.workdps(80 + 2 * exponent):
+                l1, l2, big = mpmath.mpc(lam1), mpmath.mpc(lam2), mpmath.mpf(n)
+                alpha, beta = mpmath.mpc(spec.alpha), mpmath.mpc(spec.beta)
+                quad = -(big + 0.5) * (abs(l1) ** 2 + abs(l2) ** 2) + 2 * mpmath.sqrt(
+                    big * (big + 1)) * mpmath.re(l1 * l2)
+                disp = (l1 * mpmath.conj(alpha) - mpmath.conj(l1) * alpha
+                        + l2 * mpmath.conj(beta) - mpmath.conj(l2) * beta)
+                reference = mpmath.exp(quad + disp)
+                error = abs(mpmath.mpc(chi) - reference) / abs(reference)
+            assert abs(chi) <= 1.0 + 1e-12
+            assert error <= 1e-13, (n, lam1, lam2, chi)
 
 
 def test_cf_overflow_names_the_argument():
