@@ -10,7 +10,6 @@ density matrix rho = B B^dag, which ``uhlmann_fidelity`` compares.
 """
 
 from .closed_form import (
-    MAX_OCCUPANCY,
     FidelityValue,
     bures_distance,
     optimal_beta,
@@ -28,7 +27,7 @@ from .fock_oracle import (
 )
 from .gaussian_overlap import OverlapResult, pure_overlap
 from .optimizer import OptimizationResult, maximize_overlap, purification_forms
-from .routes import ROUTES, RouteResult, compare, compute_route
+from .routes import MAX_OCCUPANCY, ROUTES, RouteResult, compare, compute_route
 from .states import (
     DisplacedThermalState,
     GaussianForm,

@@ -10,13 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import DisplacedThermalState, _squared_modulus
-
-#: Largest accepted mean occupancy, the limit of the two Gaussian routes: their
-#: relative error stays within 8 eps (max(1, n1, n2) + |ln F|), which grows
-#: linearly in n. The closed form alone stays within 2.7e-16 up to n = 1e15;
-#: a cap per route is ROADMAP item 4.
-MAX_OCCUPANCY = 1e8
+from .states import DisplacedThermalState, ThermalParams, _squared_modulus
 
 
 @dataclass(frozen=True)
@@ -35,29 +29,15 @@ class FidelityValue:
         return self.value
 
 
-def _check_occupancy(n: float, name: str) -> float:
-    if not (isinstance(n, (int, float)) and math.isfinite(n)):
-        raise ValueError(f"{name} must be finite, got {n!r}")
-    if n < 0.0:
-        raise ValueError(f"{name} must be non-negative, got {n}")
-    if n > MAX_OCCUPANCY:
-        raise ValueError(
-            f"{name}={n} exceeds the supported range (max {MAX_OCCUPANCY:g}); "
-            "double precision breaks down beyond it"
-        )
-    return float(n)
-
-
 def thermal_fidelity(n1: float, n2: float) -> FidelityValue:
     """Fidelity between two undisplaced thermal states with occupancies n1, n2.
 
     Evaluated in the conjugate form
         (sqrt((n1+1)(n2+1)) + sqrt(n1 n2))^2 / (n1 + n2 + 1)^2,
     which is free of subtractive cancellation; equal occupancies
-    short-circuit to exactly 1.
+    short-circuit to exactly 1. Takes any occupancy ThermalParams accepts.
     """
-    n1 = _check_occupancy(n1, "n1")
-    n2 = _check_occupancy(n2, "n2")
+    n1, n2 = ThermalParams(n1).mean_occupancy, ThermalParams(n2).mean_occupancy
     if n1 == n2:
         return FidelityValue(1.0)
     a = (n1 + 1.0) * (n2 + 1.0)
@@ -96,19 +76,17 @@ def optimal_beta(
     """Mode-2 displacement maximizing the purification overlap.
 
     beta = (sqrt(s1) + sqrt(s2)) / (1 + sqrt(s1 s2)) * (a2 - a1)*.
-    Depends on both occupancies even when they are equal.
+    Depends on both occupancies even when they are equal; takes any occupancy.
     """
-    n1 = _check_occupancy(state1.mean_occupancy, "n1")
-    n2 = _check_occupancy(state2.mean_occupancy, "n2")
-    s1 = n1 / (n1 + 1.0)
-    s2 = n2 / (n2 + 1.0)
+    s1, s2 = state1.s, state2.s
     scale = (math.sqrt(s1) + math.sqrt(s2)) / (1.0 + math.sqrt(s1 * s2))
     return scale * (state2.displacement - state1.displacement).conjugate()
 
 
 def bures_distance(fidelity: FidelityValue | float) -> float:
-    """Bures distance sqrt(2 (1 - sqrt(F))) from a fidelity in (0, 1]."""
+    """Bures distance sqrt(2 (1 - sqrt(F))) from a fidelity in (0, 1], taken as
+    sqrt(2 (1 - F) / (1 + sqrt(F))): 1 - sqrt(F) cancels near F = 1, 1 - F never."""
     f = float(fidelity)
     if not (0.0 < f <= 1.0):
         raise ValueError(f"fidelity must lie in (0, 1], got {f}")
-    return math.sqrt(2.0 * (1.0 - math.sqrt(f)))
+    return math.sqrt(2.0 * (1.0 - f) / (1.0 + math.sqrt(f)))

@@ -253,12 +253,11 @@ def displaced_thermal_fidelity(
     _squared_nuclear_norm): the fidelity moves by at most eps/4 relative, and
     the SVD's cost follows the states, not the cutoff. The cost is one
     displacement matrix, a few passes over it, and one real k x k SVD, with
-    no N^3 product, and the truncation depends on |alpha2 - alpha1| alone. An
-    |alpha2 - alpha1|^2 that overflows raises OverflowError naming it, and a
-    cutoff below 1 raises ValueError.
+    no N^3 product, and the truncation depends on |alpha2 - alpha1| alone. Any
+    occupancy is taken; a cutoff below 1 or an |alpha2 - alpha1| out of range
+    raises as in displacement_matrix.
     """
     delta = state2.displacement - state1.displacement
-    _squared_modulus(delta, "alpha2 - alpha1")
     d = displacement_matrix(abs(delta), cutoff)
     eta1 = thermal_spectrum(state1.mean_occupancy, cutoff)
     eta2 = thermal_spectrum(state2.mean_occupancy, cutoff)

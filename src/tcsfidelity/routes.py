@@ -20,6 +20,12 @@ import numpy as np
 
 from . import closed_form, fock_oracle, gaussian_overlap, optimizer, states
 
+#: Largest mean occupancy a route accepts, the limit of the two Gaussian
+#: routes: their relative error stays within 8 eps (max(1, n1, n2) + |ln F|),
+#: which grows linearly in n. The closed form's thermal factor alone stays
+#: within 4 eps up to n = 1e15; a cap per route is ROADMAP item 4.
+MAX_OCCUPANCY = 1e8
+
 
 @dataclass(frozen=True)
 class RouteResult:
@@ -76,10 +82,6 @@ def _closed_form(state1, state2, cutoff) -> RouteResult:
 
 
 def _oracle(state1, state2, cutoff) -> RouteResult:
-    # The cap of the other routes, so that every route accepts one domain.
-    closed_form._check_occupancy(state1.mean_occupancy, "n1")
-    closed_form._check_occupancy(state2.mean_occupancy, "n2")
-    # First, so that the cutoff is checked before s**cutoff could divide by 0.
     fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}
     return RouteResult("oracle", fidelity, cutoff=cutoff, diagnostics=tails)
@@ -118,14 +120,21 @@ def compute_route(
     """Fidelity of two displaced thermal states by the route ``name``.
 
     Only the oracle uses ``cutoff``, an integer; every route refuses one below
-    1, and an unknown name. Inputs outside a route's domain raise ValueError,
-    and numerical failures ArithmeticError, numpy's LinAlgError raised as one.
+    1, and an unknown name. The routes' domain is checked here alone: an
+    occupancy above MAX_OCCUPANCY raises ValueError, and an overflowing
+    |alpha2 - alpha1|^2 OverflowError. Numerical failures raise
+    ArithmeticError, numpy's LinAlgError raised as one.
     """
     cutoff = operator.index(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if name not in ROUTES:
         raise ValueError(f"unknown route {name!r}; routes: {', '.join(ROUTES)}")
+    for label, n in (("n1", state1.mean_occupancy), ("n2", state2.mean_occupancy)):
+        if n > MAX_OCCUPANCY:
+            raise ValueError(f"{label}={n} exceeds the supported range (max "
+                             f"{MAX_OCCUPANCY:g}); double precision breaks down beyond it")
+    states._squared_modulus(state2.displacement - state1.displacement, "alpha2 - alpha1")
     try:
         return ROUTES[name](state1, state2, cutoff)
     except np.linalg.LinAlgError as exc:

@@ -1,8 +1,10 @@
 """Tests for the closed-form fidelity, overlap, and Bures-distance formulas."""
 
 import math
+import sys
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tcsfidelity.closed_form import (
     tcs_fidelity,
     thermal_fidelity,
 )
+from tcsfidelity.routes import compute_route
 from tcsfidelity.states import DisplacedThermalState, PurificationSpec, ThermalParams
 
 OCCUPANCY_GRID = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -70,8 +73,21 @@ def test_thermal_fidelity_rejects_bad_input():
         thermal_fidelity(-0.1, 0.0)
     with pytest.raises(ValueError):
         thermal_fidelity(0.0, math.nan)
-    with pytest.raises(ValueError):
-        thermal_fidelity(1e9, 0.0)
+
+
+def test_the_closed_form_route_refuses_an_occupancy_above_the_cap():
+    # The cap is the routes' gate, not the formula's: thermal_fidelity itself
+    # takes n1 = 1e9 (see the next test).
+    with pytest.raises(ValueError, match="^n1=1000000000.0 exceeds the supported range"):
+        compute_route("closed_form", make_state(1e9, 0j), make_state(0.0, 0j))
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("n1", [1e9, 1e12, 1e15])
+def test_thermal_fidelity_meets_the_reference_past_the_cap(n1, ratio, reference_fidelity):
+    reference = reference_fidelity(n1, 0j, ratio * n1, 0j)
+    value = thermal_fidelity(n1, ratio * n1).value
+    assert abs(value - reference) / reference <= 4 * sys.float_info.epsilon
 
 
 def test_fidelity_value_validation():
@@ -255,6 +271,16 @@ def test_bures_distance_inverse_e():
     assert bures_distance(math.exp(-1.0)) == pytest.approx(
         math.sqrt(2 * (1 - math.exp(-0.5))), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("fidelity", [1 - 2**-53, 1 - 3 * 2**-53, 1 - 1e-12, 0.3, 1e-300])
+def test_bures_distance_meets_the_mpmath_reference_near_one(fidelity):
+    # sqrt(2 (1 - sqrt(F))) was 15.5% off at F = 1 - 3 * 2**-53 and 5.6e-5
+    # off at F = 1 - 1e-12, where 1 - sqrt(F) cancels.
+    with mpmath.workdps(50):
+        reference = mpmath.sqrt(2 * (1 - mpmath.sqrt(mpmath.mpf(fidelity))))
+        error = abs(bures_distance(fidelity) - reference) / reference
+    assert error <= sys.float_info.epsilon
 
 
 def test_bures_distance_monotone_in_fidelity():

@@ -12,7 +12,8 @@ from scipy.linalg import solve_triangular
 from tcsfidelity import gaussian_overlap, states
 from tcsfidelity.closed_form import optimal_beta, tcs_fidelity
 from tcsfidelity.gaussian_overlap import OverlapResult, pure_overlap
-from tcsfidelity.routes import compute_route
+from tcsfidelity.optimizer import maximize_overlap, purification_forms
+from tcsfidelity.routes import MAX_OCCUPANCY, compute_route
 from tcsfidelity.states import (
     DisplacedThermalState,
     GaussianForm,
@@ -199,9 +200,17 @@ def test_overlap_result_validation():
         OverlapResult(value=-0.1, log_value=0.0)
 
 
+#: The Gaussian routes' kernels called directly, past the cap of compute_route.
+KERNELS = {
+    "gaussian_overlap":
+        lambda s1, s2: pure_overlap(*purification_forms(s1, s2, optimal_beta(s1, s2))).value,
+    "purification_optimized": lambda s1, s2: maximize_overlap(s1, s2).value,
+}
+
+
 @pytest.mark.parametrize("dalpha", [1e-3, 1.0, 20.0, 1e4])
 @pytest.mark.parametrize("ratio", [0.7, 1.0])
-@pytest.mark.parametrize("n1", [0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("n1", [0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e10, 1e12])
 @pytest.mark.parametrize("route", ["gaussian_overlap", "purification_optimized"])
 def test_route_meets_the_mpmath_reference_within_its_envelope(
     route, n1, ratio, dalpha, reference_fidelity, gaussian_route_envelope
@@ -214,7 +223,17 @@ def test_route_meets_the_mpmath_reference_within_its_envelope(
         pytest.skip("the fidelity underflows double precision")
     s1 = DisplacedThermalState(ThermalParams(n1), alpha1)
     s2 = DisplacedThermalState(ThermalParams(n2), alpha2)
-    value = compute_route(route, s1, s2).fidelity
+    if n1 <= MAX_OCCUPANCY:
+        value = compute_route(route, s1, s2).fidelity
+    else:
+        try:
+            value = KERNELS[route](s1, s2)
+        except ValueError as error:
+            # Near F = 1 the engine's round-off, within the envelope, can
+            # exceed the 1 + 1e-12 that OverlapResult accepts (ROADMAP item 10).
+            if "overlap must lie in [0, 1]" not in str(error):
+                raise
+            pytest.xfail(str(error))
     bound = gaussian_route_envelope(n1, n2, reference)
     assert abs(value - reference) / reference <= bound
 

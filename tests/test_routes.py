@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcsfidelity import closed_form, fock_oracle, routes, states
-from tcsfidelity.routes import RouteResult, compare, compute_route
+from tcsfidelity.routes import MAX_OCCUPANCY, RouteResult, compare, compute_route
 from tcsfidelity.states import DisplacedThermalState, ThermalParams
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -193,6 +194,50 @@ def test_every_route_falls_along_a_ray(n1, n2, alpha1, angle, step):
 def test_every_route_refuses_a_cutoff_below_one(name, cutoff):
     with pytest.raises(ValueError, match=f"^cutoff must be >= 1, got {cutoff}$"):
         compute_route(name, STATE1, STATE2, cutoff)
+
+
+def above_cap_message(label, n):
+    """The pattern of the gate's whole message for occupancy ``n`` as ``label``."""
+    message = (f"{label}={n!r} exceeds the supported range (max 1e+08); "
+               "double precision breaks down beyond it")
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("name", list(routes.ROUTES))
+@pytest.mark.parametrize("label", ["n1", "n2"])
+def test_every_route_takes_the_cap_and_refuses_the_next_double(name, label):
+    def pair(n):
+        state = DisplacedThermalState(ThermalParams(n), 0.3 - 0.2j)
+        return (state, STATE2) if label == "n1" else (STATE1, state)
+
+    assert 0.0 < compute_route(name, *pair(MAX_OCCUPANCY)).fidelity <= 1.0
+    above = math.nextafter(MAX_OCCUPANCY, math.inf)
+    with pytest.raises(ValueError, match=above_cap_message(label, above)):
+        compute_route(name, *pair(above))
+
+
+@pytest.mark.parametrize("name", list(routes.ROUTES))
+@pytest.mark.parametrize("alpha1, alpha2, shown", [
+    (0j, 1e200, "(1e+200+0j)"),
+    (-1e308, 1e308, "(inf+0j)"),
+], ids=["overflowing", "infinite"])
+def test_every_route_refuses_an_alpha2_minus_alpha1_out_of_range(name, alpha1, alpha2, shown):
+    state1 = DisplacedThermalState(ThermalParams(1.0), alpha1)
+    state2 = DisplacedThermalState(ThermalParams(0.5), alpha2)
+    message = f"|alpha2 - alpha1|^2 overflows for alpha2 - alpha1={shown}"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        compute_route(name, state1, state2)
+
+
+def test_the_gate_checks_the_cutoff_then_n1_then_n2_then_the_displacements():
+    hot = DisplacedThermalState(ThermalParams(1e9))
+    far = DisplacedThermalState(ThermalParams(2e9), 1e200)
+    with pytest.raises(ValueError, match="^cutoff must be >= 1, got 0$"):
+        compute_route("closed_form", hot, far, 0)
+    with pytest.raises(ValueError, match=above_cap_message("n1", 1e9)):
+        compute_route("closed_form", hot, far)
+    with pytest.raises(ValueError, match=above_cap_message("n2", 2e9)):
+        compute_route("closed_form", STATE1, far)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
