@@ -7,6 +7,10 @@ streams, and no timestamps or wall-clock values appear anywhere.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 Every command is an ``ExitCodeCommand``, which maps library exceptions to them.
 The values come from ``routes``; this module parses flags and formats results.
+
+Importing it loads no numpy: ``bures``, the closed-form ``fidelity`` and
+``--help`` run without it. The other routes load it on their first call, and
+a 'start:stop:count' range when it is parsed.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from collections.abc import Callable
 from typing import NoReturn
 
 import click
-import numpy as np
 
-from . import DEFAULT_CUTOFF, closed_form, routes, states
+from . import closed_form, routes, states
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +73,8 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError("grid count must be >= 1")
     if count == 1 and start != stop:
         raise ValueError("a single-point grid needs start == stop")
+    import numpy as np
+
     try:
         return [float(x) for x in np.linspace(start, stop, count)]
     except MemoryError as exc:
@@ -229,7 +234,7 @@ main.command_class = ExitCodeCommand
 @click.option(
     "--cutoff",
     type=int,
-    default=DEFAULT_CUTOFF,
+    default=routes.DEFAULT_CUTOFF,
     show_default=True,
     help="Fock truncation for the oracle route.",
 )
@@ -318,7 +323,7 @@ def cf_grid(n, temp_ratio, alpha, beta, l1_re, l1_im, l2_re, l2_im, oracle_check
               help="Base displacement of state 1; state 2 sits at alpha1 + dalpha.")
 @click.option("--routes", "route_names", default="all",
               help="Comma-separated routes, or 'all'.")
-@click.option("--cutoff", type=int, default=DEFAULT_CUTOFF,
+@click.option("--cutoff", type=int, default=routes.DEFAULT_CUTOFF,
               show_default=True)
 @click.option("--json/--csv", "emit_json", default=False, help="Output format.")
 def sweep(n1, n2, dalpha, alpha1, route_names, cutoff, emit_json):

@@ -34,8 +34,6 @@ import numpy as np
 
 from .states import DisplacedThermalState, _squared_modulus, _validate_complex
 
-DEFAULT_CUTOFF = 60
-
 
 def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
     """First ``count`` eigenvalues of the thermal state, s^j / (nbar + 1)."""

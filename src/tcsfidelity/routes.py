@@ -7,18 +7,25 @@ that a caller runs exactly what ``tcsfid`` runs. Each layer is called
 through its module attribute (``fock_oracle.displaced_thermal_fidelity``,
 not a name imported from it), so that rebinding the attribute, as a tracer
 or a test does, is seen by every route.
+
+The module loads with the closed form and ``states`` alone. The numpy
+layers, ``fock_oracle``, ``gaussian_overlap`` and ``optimizer``, are
+imported by the first route or CF grid that calls them, so the closed-form
+route runs without numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import closed_form, states
 
-from . import closed_form, fock_oracle, gaussian_overlap, optimizer, states
+#: Fock truncation of the oracle route when the caller gives none.
+DEFAULT_CUTOFF = 60
 
 #: Largest mean occupancy a route accepts, the limit of the two Gaussian
 #: routes: their relative error stays within 8 eps (max(1, n1, n2) + |ln F|),
@@ -82,17 +89,23 @@ def _closed_form(state1, state2, cutoff) -> RouteResult:
 
 
 def _oracle(state1, state2, cutoff) -> RouteResult:
+    from . import fock_oracle
+
     fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}
     return RouteResult("oracle", fidelity, cutoff=cutoff, diagnostics=tails)
 
 
 def _purification_optimized(state1, state2, cutoff) -> RouteResult:
+    from . import optimizer
+
     result = optimizer.maximize_overlap(state1, state2)
     return RouteResult("purification_optimized", result.value, beta_star=result.beta_star)
 
 
 def _gaussian_overlap(state1, state2, cutoff) -> RouteResult:
+    from . import gaussian_overlap, optimizer
+
     beta = closed_form.optimal_beta(state1, state2)
     forms = optimizer.purification_forms(state1, state2, beta)
     overlap = gaussian_overlap.pure_overlap(*forms)
@@ -115,7 +128,7 @@ def compute_route(
     name: str,
     state1: states.DisplacedThermalState,
     state2: states.DisplacedThermalState,
-    cutoff: int = fock_oracle.DEFAULT_CUTOFF,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> RouteResult:
     """Fidelity of two displaced thermal states by the route ``name``.
 
@@ -137,7 +150,11 @@ def compute_route(
     states._squared_modulus(state2.displacement - state1.displacement, "alpha2 - alpha1")
     try:
         return ROUTES[name](state1, state2, cutoff)
-    except np.linalg.LinAlgError as exc:
+    except ValueError as exc:
+        # A LinAlgError, a ValueError subclass, exists only once numpy is loaded.
+        numpy = sys.modules.get("numpy")
+        if numpy is None or not isinstance(exc, numpy.linalg.LinAlgError):
+            raise
         raise ArithmeticError(str(exc)) from exc
 
 
@@ -145,7 +162,7 @@ def compare(
     state1: states.DisplacedThermalState,
     state2: states.DisplacedThermalState,
     names: Iterable[str],
-    cutoff: int = fock_oracle.DEFAULT_CUTOFF,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> dict[str, RouteResult]:
     """The routes ``names`` side by side: each runs once, in the order given.
     Failures raise as in ``compute_route``."""
@@ -159,7 +176,7 @@ SWEEP_COLUMNS = ("n1", "n2", "re_dalpha", "im_dalpha", "route", "fidelity",
                  "bures_distance", "discrepancy_vs_closed_form")
 
 
-def sweep(n1_values, n2_values, dalphas, alpha1, names, cutoff=fock_oracle.DEFAULT_CUTOFF):
+def sweep(n1_values, n2_values, dalphas, alpha1, names, cutoff=DEFAULT_CUTOFF):
     """The routes ``names`` over a grid, state 1 at (n1, alpha1) and state 2
     at (n2, alpha1 + dalpha), as SWEEP_COLUMNS dicts: the points sorted by
     (n1, n2, Re dalpha, Im dalpha), then the routes in the order named. The
@@ -207,6 +224,8 @@ def cf_grid(spec, lambdas1, lambdas2, cutoff=None):
     table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
     if cutoff is None:
         return table, None, None
+    from . import fock_oracle
+
     state = states.DisplacedThermalState(spec.thermal, spec.alpha)
     vector = fock_oracle.schmidt_purification(state, spec.beta, cutoff)
     oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2).tolist()

@@ -14,6 +14,10 @@ Every other module consumes the conventions fixed here:
 The sign of the displacement factor exp(lam alpha* - lam* alpha) is pinned by
 requiring that a pure coherent state (zero occupancy) reproduce the standard
 coherent-state CF; a unit test enforces this.
+
+The module loads without numpy, so that the closed form needs none:
+``GaussianForm``, its symplectic check and ``purification_gaussian_form``
+import it when they run.
 """
 
 from __future__ import annotations
@@ -22,19 +26,20 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Symplectic form of the quadratures (x1, p1, x2, p2).
-_OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
+#: Symplectic form of the quadratures (x1, p1, x2, p2), as rows of floats:
+#: this module imports numpy only where a Gaussian form needs it.
+_OMEGA = (
+    (0.0, 1.0, 0.0, 0.0),
+    (-1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, -1.0, 0.0),
 )
 
 
@@ -141,9 +146,12 @@ def _check_symplectic(factor_bytes: bytes) -> None:
     occupancy alone: a pass is kept, and a raise keeps nothing, so a factor
     that fails raises on every check.
     """
+    import numpy as np
+
     factor = np.frombuffer(factor_bytes).reshape(4, 4)
+    omega = np.array(_OMEGA)
     # Round-off in S Omega S^T scales with |S|^2, which grows like n.
-    defect = float(np.abs(factor @ _OMEGA @ factor.T - _OMEGA).max())
+    defect = float(np.abs(factor @ omega @ factor.T - omega).max())
     if not defect <= 1e-12 * float((factor * factor).sum()):
         raise ValueError(
             f"factor is not symplectic: max |S Omega S^T - Omega| = {defect!r}"
@@ -164,6 +172,8 @@ class GaussianForm:
     displacement_vector: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         factor = np.array(self.factor, dtype=float)
         disp = np.array(self.displacement_vector, dtype=float)
         if factor.shape != (4, 4):
@@ -216,6 +226,8 @@ def purification_gaussian_form(spec: PurificationSpec) -> GaussianForm:
     x1x2 / p1p2 entries. Nothing is subtracted, so S is exact to rounding at
     every occupancy.
     """
+    import numpy as np
+
     n = spec.thermal.mean_occupancy
     a = math.sqrt(n + 1.0)
     b = math.sqrt(n)

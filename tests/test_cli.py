@@ -589,6 +589,11 @@ EXIT_CODE_TABLE += [
      UNDERFLOW_LINE.format("purification_optimized")),
     (["optimize", "--n1", "1e8", "--n2", "1e8", "--alpha2", "1e152,0"], 1,
      UNDERFLOW_LINE.format("purification_optimized")),
+    # Near F = 1 the engine's round-off can exceed the overlap's 1 + 1e-12
+    # margin on valid input: a numerical failure (ROADMAP item 10).
+    (["fidelity", "--n1", "2335.7214690901214", "--n2", "2335.7214690901214",
+      "--route", "gaussian-overlap"], 1,
+     "error: overlap must lie in [0, 1], got 1.0000000000020322"),
 ]
 # Usage errors of the grid flags, and the oracle's cutoff check, which runs
 # before the truncation tails s**cutoff: at n = 0, s = 0 and 0.0**-1 would
@@ -696,6 +701,17 @@ def test_a_linear_algebra_failure_is_a_numerical_failure(runner, monkeypatch, ar
     assert isinstance(result.exception, SystemExit)
 
 
+def test_a_plain_value_error_from_a_route_is_a_usage_error(runner, monkeypatch):
+    # compute_route raises only numpy's LinAlgError again as ArithmeticError.
+    def refuse(*_):
+        raise ValueError("not a linear algebra failure")
+
+    monkeypatch.setattr(fock_oracle, "displaced_thermal_fidelity", refuse)
+    result = invoke(runner, "fidelity", "--route", "oracle")
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == "Error: not a linear algebra failure"
+
+
 def test_cli_reaches_the_route_layers_only_through_routes():
     # cli.py parses and formats; what it prints is computed by routes and the
     # modules that define the domain types.
@@ -796,6 +812,36 @@ def test_cli_import_loads_no_scipy():
         )
         assert process.returncode == 0, (args, process.stderr)
         assert process.stdout, args
+
+
+def test_package_and_cli_import_load_no_numpy():
+    for module in ("tcsfidelity", "tcsfidelity.cli"):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        process = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True, text=True
+        )
+        assert process.stdout == "False\n", module
+    # The commands that need no numpy print, with it unimportable, the bytes
+    # they print with it loaded. The golden --all-routes bytes, which need it,
+    # come from a fresh process in test_fidelity_golden_file.
+    closed_form_args = [arg for arg in GOLDEN_FIDELITY_ARGS if arg != "--all-routes"]
+    commands = [
+        ["--help"],
+        ["bures", "--fidelity", "0.25"],
+        closed_form_args,
+        [*closed_form_args, "--csv"],
+    ]
+    run = "from tcsfidelity.cli import main; main(sys.argv[1:], prog_name='tcsfid')"
+    for args in commands:
+        stdout = []
+        for numpy in ("import numpy", "sys.modules['numpy'] = None"):
+            process = subprocess.run(
+                [sys.executable, "-c", f"import sys; {numpy}; {run}", *args],
+                capture_output=True,
+            )
+            assert process.returncode == 0, (args, numpy, process.stderr)
+            stdout.append(process.stdout)
+        assert stdout[0] and stdout[0] == stdout[1], args
 
 
 def test_fidelity_golden_file():

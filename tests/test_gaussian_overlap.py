@@ -194,9 +194,9 @@ def test_rejects_mixed_covariance():
 
 
 def test_overlap_result_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         OverlapResult(value=1.1, log_value=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         OverlapResult(value=-0.1, log_value=0.0)
 
 
@@ -228,7 +228,7 @@ def test_route_meets_the_mpmath_reference_within_its_envelope(
     else:
         try:
             value = KERNELS[route](s1, s2)
-        except ValueError as error:
+        except ArithmeticError as error:
             # Near F = 1 the engine's round-off, within the envelope, can
             # exceed the 1 + 1e-12 that OverlapResult accepts (ROADMAP item 10).
             if "overlap must lie in [0, 1]" not in str(error):
