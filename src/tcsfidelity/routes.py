@@ -9,9 +9,10 @@ not a name imported from it), so that rebinding the attribute, as a tracer
 or a test does, is seen by every route.
 
 The module loads with the closed form and ``states`` alone. The numpy
-layers, ``fock_oracle``, ``gaussian_overlap`` and ``optimizer``, are
-imported by the first route or CF grid that calls them, so the closed-form
-route runs without numpy.
+layers, ``fock_oracle``, ``gaussian_overlap`` and ``optimizer``, are read
+as attributes of the package, which imports each on its first use (PEP
+562): the first route or CF grid that calls one loads it, so the
+closed-form route runs without numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import closed_form, states
+
+#: The package, through which the numpy layers load on first use.
+_package = sys.modules[__package__]
 
 #: Fock truncation of the oracle route when the caller gives none.
 DEFAULT_CUTOFF = 60
@@ -89,26 +93,20 @@ def _closed_form(state1, state2, cutoff) -> RouteResult:
 
 
 def _oracle(state1, state2, cutoff) -> RouteResult:
-    from . import fock_oracle
-
-    fidelity = fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
+    fidelity = _package.fock_oracle.displaced_thermal_fidelity(state1, state2, cutoff)
     tails = {"truncation_tail_1": state1.s**cutoff, "truncation_tail_2": state2.s**cutoff}
     return RouteResult("oracle", fidelity, cutoff=cutoff, diagnostics=tails)
 
 
 def _purification_optimized(state1, state2, cutoff) -> RouteResult:
-    from . import optimizer
-
-    result = optimizer.maximize_overlap(state1, state2)
+    result = _package.optimizer.maximize_overlap(state1, state2)
     return RouteResult("purification_optimized", result.value, beta_star=result.beta_star)
 
 
 def _gaussian_overlap(state1, state2, cutoff) -> RouteResult:
-    from . import gaussian_overlap, optimizer
-
     beta = closed_form.optimal_beta(state1, state2)
-    forms = optimizer.purification_forms(state1, state2, beta)
-    overlap = gaussian_overlap.pure_overlap(*forms)
+    forms = _package.optimizer.purification_forms(state1, state2, beta)
+    overlap = _package.gaussian_overlap.pure_overlap(*forms)
     return RouteResult(
         "gaussian_overlap", overlap.value, beta_star=beta,
         diagnostics={"log_value": overlap.log_value},
@@ -224,10 +222,8 @@ def cf_grid(spec, lambdas1, lambdas2, cutoff=None):
     table = [[states.purification_cf(spec, l1, l2) for l2 in lambdas2] for l1 in lambdas1]
     if cutoff is None:
         return table, None, None
-    from . import fock_oracle
-
     state = states.DisplacedThermalState(spec.thermal, spec.alpha)
-    vector = fock_oracle.schmidt_purification(state, spec.beta, cutoff)
-    oracle = fock_oracle.cf_table(vector, lambdas1, lambdas2).tolist()
+    vector = _package.fock_oracle.schmidt_purification(state, spec.beta, cutoff)
+    oracle = _package.fock_oracle.cf_table(vector, lambdas1, lambdas2).tolist()
     deviations = (abs(a - b) for row, row_b in zip(table, oracle) for a, b in zip(row, row_b))
     return table, oracle, max([0.0, *deviations])
