@@ -73,6 +73,8 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError("grid count must be >= 1")
     if count == 1 and start != stop:
         raise ValueError("a single-point grid needs start == stop")
+    if count == 1:
+        return [start + 0.0]  # np.linspace's value, sign of zero included
     import numpy as np
 
     try:

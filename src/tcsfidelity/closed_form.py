@@ -15,15 +15,10 @@ from .states import DisplacedThermalState, ThermalParams, _squared_modulus
 
 @dataclass(frozen=True)
 class FidelityValue:
-    """Transition probability in (0, 1]."""
+    """A transition probability, unchecked: routes.RouteResult judges its range.
+    Kept only because perfbench reads ``.value``, until ROADMAP item 1."""
 
     value: float
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
-            raise ValueError(f"fidelity must lie in (0, 1], got {v!r}")
-        object.__setattr__(self, "value", float(v))
 
     def __float__(self) -> float:
         return self.value
@@ -67,7 +62,7 @@ def tcs_fidelity(
             f"fidelity underflows double precision at |a1 - a2| = {abs(diff):g} "
             f"for these occupancies"
         )
-    return FidelityValue(min(value, 1.0))
+    return FidelityValue(value)
 
 
 def optimal_beta(

@@ -27,18 +27,11 @@ from .states import _SQRT2, GaussianForm
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Overlap value together with its log, which stays finite below underflow.
-
-    A value outside [0, 1 + 1e-12] is a numerical failure, an ArithmeticError:
-    it is computed from states the routes accept.
-    """
+    """An overlap, unchecked, and its log, finite below underflow. Kept only
+    because perfbench reads ``.value``, until ROADMAP item 1."""
 
     value: float
     log_value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0 + 1e-12:
-            raise ArithmeticError(f"overlap must lie in [0, 1], got {self.value}")
 
 
 #: Most triangular factors _triangular_factor keeps; an entry takes about

@@ -67,7 +67,7 @@ def maximize_overlap(
 
     The objective is exactly quadratic in beta, so one triangular step of the
     engine lands on its maximum and zeroes the mode-2 residual, uncapped: within
-    8 eps (max(1, n1, n2) + |ln F|) relative. ``config`` is ignored; see OptimizerConfig.
+    16 eps (max(1, n1, n2) + |ln F|) relative. ``config`` is ignored (OptimizerConfig).
     """
     overlap, beta = gaussian_overlap.max_pure_overlap(*purification_forms(state1, state2))
     return OptimizationResult(beta_star=beta, value=overlap.value)

@@ -32,19 +32,26 @@ _package = sys.modules[__package__]
 DEFAULT_CUTOFF = 60
 
 #: Largest mean occupancy a route accepts, the limit of the two Gaussian
-#: routes: their relative error stays within 8 eps (max(1, n1, n2) + |ln F|),
+#: routes: their relative error stays within 16 eps (max(1, n1, n2) + |ln F|),
 #: which grows linearly in n. The closed form's thermal factor alone stays
 #: within 4 eps up to n = 1e15; a cap per route is ROADMAP item 4.
 MAX_OCCUPANCY = 1e8
+
+#: How far above 1 a route's fidelity may round and still read as 1: the
+#: Gaussian routes' envelope at F = 1 at the cap, 16 eps MAX_OCCUPANCY, about
+#: 3.6e-7; the largest overshoot measured is 2.0e-7, at n1 = n2 = 9.9e7. One
+#: margin for all four routes, loose at small n until ROADMAP item 4's bounds.
+_ROUND_OFF_MARGIN = 16 * sys.float_info.epsilon * MAX_OCCUPANCY
 
 
 @dataclass(frozen=True)
 class RouteResult:
     """One route's fidelity, with what is needed to judge it.
 
-    ``beta_star`` is the optimal mode-2 displacement of the routes that find
-    one and ``cutoff`` the Fock truncation of the oracle. A fidelity outside
-    (0, 1] raises ArithmeticError, one of exactly 0 as an underflow.
+    ``beta_star`` is the optimal mode-2 displacement where a route finds one,
+    ``cutoff`` the oracle's truncation. The one range rule: a fidelity up to
+    _ROUND_OFF_MARGIN (3.6e-7) above 1 reads as 1, 0 raises ArithmeticError
+    as an underflow, and any other outside (0, 1] as an internal error.
     """
 
     route: str
@@ -54,9 +61,7 @@ class RouteResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Round-off may overshoot 1 by ulps and 0 is an underflow; anything else
-        # outside (0, 1] is a bug.
-        if 1.0 < self.fidelity <= 1.0 + 1e-9:
+        if 1.0 < self.fidelity <= 1.0 + _ROUND_OFF_MARGIN:
             object.__setattr__(self, "fidelity", 1.0)
         elif self.fidelity == 0.0:
             raise ArithmeticError(

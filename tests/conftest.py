@@ -12,9 +12,12 @@ from tcsfidelity import closed_form, fock_oracle, gaussian_overlap, optimizer, s
 
 #: Constant of the Gaussian route's envelope, fitted against the 50-digit
 #: reference: the largest error seen, in units of eps (max(1, n1, n2) + |ln F|),
-#: was 6.6 at n1 = n2 = 10 over the grid of test_gaussian_overlap, and 5.9
-#: over 8000 random pairs with occupancies up to 1e8 and |dalpha| up to 1e4.
-GAUSSIAN_ROUTE_C = 8.0
+#: was 14.0, at n1 = n2 = 0.94 and alpha1 = alpha2, where the QR's
+#: log det(V1 + V2) is -28 eps. Seeded scans: 13.2 over 20000 pairs near F = 1
+#: with n in [0.1, 10], 14.0 over 60000 equal states with n in [0, 3], 10.3
+#: over 40000 with n in [1e2, 1e8], and 7.8 over 8000 random pairs with
+#: occupancies up to 1e8 and |dalpha| up to 1e4; 6.6 on the test grid.
+GAUSSIAN_ROUTE_C = 16.0
 
 
 @pytest.fixture(autouse=True)

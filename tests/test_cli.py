@@ -589,11 +589,6 @@ EXIT_CODE_TABLE += [
      UNDERFLOW_LINE.format("purification_optimized")),
     (["optimize", "--n1", "1e8", "--n2", "1e8", "--alpha2", "1e152,0"], 1,
      UNDERFLOW_LINE.format("purification_optimized")),
-    # Near F = 1 the engine's round-off can exceed the overlap's 1 + 1e-12
-    # margin on valid input: a numerical failure (ROADMAP item 10).
-    (["fidelity", "--n1", "2335.7214690901214", "--n2", "2335.7214690901214",
-      "--route", "gaussian-overlap"], 1,
-     "error: overlap must lie in [0, 1], got 1.0000000000020322"),
 ]
 # Usage errors of the grid flags, and the oracle's cutoff check, which runs
 # before the truncation tails s**cutoff: at n = 0, s = 0 and 0.0**-1 would
@@ -658,6 +653,16 @@ def test_library_failures_follow_the_exit_codes(runner, args, code, last_line):
     assert isinstance(result.exception, SystemExit)
     if code == 2:
         assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+
+
+@pytest.mark.parametrize("n", ["2335.7214690901214", "98753827.48844378"])
+@pytest.mark.parametrize("route", ["gaussian-overlap", "purification-optimized"])
+def test_gaussian_routes_read_round_off_above_one_as_one(runner, route, n):
+    # Equal states, where the engine's round-off lifts the overlap to
+    # 1 + 2.0e-12 and, near the occupancy cap, to 1 + 2.0e-7.
+    result = invoke(runner, "fidelity", "--n1", n, "--n2", n, "--route", route)
+    assert result.exit_code == 0, result.stderr
+    assert '"fidelity": 1.0,' in result.stdout
 
 
 @pytest.mark.parametrize("layer, args", [
@@ -830,6 +835,8 @@ def test_package_and_cli_import_load_no_numpy():
         ["bures", "--fidelity", "0.25"],
         closed_form_args,
         [*closed_form_args, "--csv"],
+        ["cf-grid", "--n", "1", "--alpha", "1,0"],
+        ["cf-grid", "--n", "1", "--l1-re=-0:-0:1"],
     ]
     run = "from tcsfidelity.cli import main; main(sys.argv[1:], prog_name='tcsfid')"
     for args in commands:

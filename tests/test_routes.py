@@ -49,11 +49,19 @@ def test_compute_route_calls_layers_through_module_attributes(monkeypatch):
     assert compute_route("oracle", STATE1, STATE2, 8).fidelity == 0.25
 
 
-def test_route_result_absorbs_round_off_above_one():
-    assert RouteResult("closed_form", 1.0 + 1e-12).fidelity == 1.0
+#: The round-off margin above 1, the Gaussian routes' envelope 16 eps n at
+#: the cap.
+MARGIN = 16 * sys.float_info.epsilon * MAX_OCCUPANCY
 
 
-@pytest.mark.parametrize("fidelity", [0.0, -0.1, 1.0 + 1e-6, float("nan")])
+@pytest.mark.parametrize("fidelity", [1.0 + 1e-12, 1.0 + MARGIN])
+def test_route_result_absorbs_round_off_above_one(fidelity):
+    assert RouteResult("closed_form", fidelity).fidelity == 1.0
+
+
+@pytest.mark.parametrize(
+    "fidelity", [0.0, -0.1, 1.0 + 1e-6, math.nextafter(1.0 + MARGIN, 2.0), float("nan")]
+)
 def test_route_result_rejects_fidelity_outside_unit_interval(fidelity):
     with pytest.raises(ArithmeticError, match="produced fidelity"):
         RouteResult("oracle", fidelity)
