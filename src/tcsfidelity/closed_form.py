@@ -78,6 +78,31 @@ def optimal_beta(
     return scale * (state2.displacement - state1.displacement).conjugate()
 
 
+def tcs_bures_distance(
+    state1: DisplacedThermalState, state2: DisplacedThermalState
+) -> float:
+    """Bures distance sqrt(2 (1 - sqrt(F))) between two displaced thermal
+    states, free of F's own rounding near F = 1.
+
+    With c = n1 + n2 + 1 and x = |a1 - a2|^2 / (2c), sqrt(F) is
+    (1 - g) exp(-x) for the thermal gap
+        g = [(n1 - n2)^2 / (sqrt(n1+1) + sqrt(n2+1))^2
+             + (n1 - n2)^2 / (sqrt(n1) + sqrt(n2))^2] / (2c),
+    so 1 - sqrt(F) = g + (1 - g)(-expm1(-x)), a sum of non-negative terms.
+    """
+    n1, n2 = state1.mean_occupancy, state2.mean_occupancy
+    c = n1 + n2 + 1.0
+    gap = 0.0
+    if n1 != n2:
+        diff = n1 - n2
+        upper = diff / (math.sqrt(n1 + 1.0) + math.sqrt(n2 + 1.0))
+        lower = diff / (math.sqrt(n1) + math.sqrt(n2))
+        gap = (upper * upper + lower * lower) / (2.0 * c)
+    shift = state2.displacement - state1.displacement
+    x = _squared_modulus(shift, "alpha2 - alpha1") / (2.0 * c)
+    return math.sqrt(2.0 * (gap - (1.0 - gap) * math.expm1(-x)))
+
+
 def bures_distance(fidelity: FidelityValue | float) -> float:
     """Bures distance sqrt(2 (1 - sqrt(F))) from a fidelity in (0, 1], taken as
     sqrt(2 (1 - F) / (1 + sqrt(F))): 1 - sqrt(F) cancels near F = 1, 1 - F never."""

@@ -11,12 +11,13 @@ The fidelity is Uhlmann's maximal transition probability between
 purifications. A density matrix rho = B B^dag is purified by the amplitude
 matrix B, and the maximum over all purifications is the squared nuclear norm
 ||B2^dag B1||_*^2. A state is therefore passed as its factor B, a plain
-N x N array, and rho itself is never formed. The fidelity costs one factor
-product and one SVD of its leading block, whose dropped rows and columns are
-bounded to move the fidelity by a quarter of an ulp at most, with no density
-product, no matrix square root and no eigenvalue clipping. For two displaced
-thermal states, displaced_thermal_fidelity works in the frame of the first,
-where the cross matrix is real and needs no product at all.
+N x N array, and rho itself is never formed. One kernel,
+_squared_nuclear_norm, takes that cross matrix alone and returns its squared
+nuclear norm from one SVD of its leading block, whose dropped rows and
+columns are bounded to move the fidelity by a quarter of an ulp at most, with
+no density product, no matrix square root and no eigenvalue clipping. For two
+displaced thermal states, displaced_thermal_fidelity works in the frame of
+the first, where the cross matrix is real and two scalings form it.
 
 Truncated operators are deliberately not renormalized; callers budget for the
 geometric truncation tail s^N instead, so convergence in the cutoff stays
@@ -36,7 +37,10 @@ from .states import DisplacedThermalState, _squared_modulus, _validate_complex
 
 
 def thermal_spectrum(nbar: float, count: int) -> np.ndarray:
-    """First ``count`` eigenvalues of the thermal state, s^j / (nbar + 1)."""
+    """First ``count`` eigenvalues of the thermal state, s^j / (nbar + 1). A
+    non-finite or negative nbar raises ValueError."""
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     s = nbar / (nbar + 1.0)
@@ -216,10 +220,11 @@ def uhlmann_fidelity(factor1: np.ndarray, factor2: np.ndarray) -> float:
     singular values, for any factors: B_i = sqrt(rho_i) U_i with U_i unitary,
     and the nuclear norm is unitarily invariant, so it equals
     ||sqrt(rho2) sqrt(rho1)||_*. No square root is taken, so round-off enters
-    linearly, and rho = B B^dag is never formed: the cost is one factor
-    product and one SVD of its leading block (see _squared_nuclear_norm). A
-    caller who holds only rho picks the factor, for example a Cholesky factor
-    or V sqrt(w) from an eigendecomposition with a floor of their choosing.
+    linearly, and rho = B B^dag is never formed: the cost is the product
+    B2^dag B1, the one matrix _squared_nuclear_norm takes, and one SVD of its
+    leading block. A caller who holds only rho picks the factor, for example
+    a Cholesky factor or V sqrt(w) from an eigendecomposition with a floor of
+    their choosing.
     Factors that are not square or not of one shape raise ValueError.
     """
     shape = factor1.shape
@@ -227,8 +232,7 @@ def uhlmann_fidelity(factor1: np.ndarray, factor2: np.ndarray) -> float:
         raise ValueError(
             f"factors must be square and of one shape, got {shape} and {factor2.shape}"
         )
-    ones = np.ones(shape[0])
-    return _squared_nuclear_norm(factor2.conj().T @ factor1, ones, ones)
+    return _squared_nuclear_norm(factor2.conj().T @ factor1)
 
 
 def displaced_thermal_fidelity(
@@ -242,11 +246,12 @@ def displaced_thermal_fidelity(
     rotation, which leaves thermal states alone, turns alpha2 - alpha1 into
     delta = |alpha2 - alpha1|. State 1's factor is then diag(sqrt(eta1)) and
     state 2's is D(delta) sqrt(eta2), so uhlmann_fidelity's cross matrix is
-    the adjoint of sqrt(eta1) D(delta) sqrt(eta2), formed by two scalings.
+    the adjoint of M = sqrt(eta1) D(delta) sqrt(eta2), of the same nuclear
+    norm; M, formed by two scalings, is what _squared_nuclear_norm takes.
     D(delta) is real at real delta >= 0, every phase +1 or -1, and
     displacement_matrix builds and memoizes it as a real array. The thermal
     weights leave most trailing rows and columns of that matrix below
-    round-off, so its nuclear norm is taken over the leading k x k
+    round-off, so M's nuclear norm is taken over the leading k x k
     block whose dropped rows and columns weigh at most eps/8 of it (see
     _squared_nuclear_norm): the fidelity moves by at most eps/4 relative, and
     the SVD's cost follows the states, not the cutoff. The cost is one
@@ -259,7 +264,7 @@ def displaced_thermal_fidelity(
     d = displacement_matrix(abs(delta), cutoff)
     eta1 = thermal_spectrum(state1.mean_occupancy, cutoff)
     eta2 = thermal_spectrum(state2.mean_occupancy, cutoff)
-    return _squared_nuclear_norm(d, eta1, eta2)
+    return _squared_nuclear_norm(np.sqrt(eta1)[:, None] * d * np.sqrt(eta2))
 
 
 #: Relative change of ||M||_* that the pruned rows and columns may make at
@@ -272,9 +277,9 @@ _PRUNE_TOLERANCE = np.finfo(float).eps / 8
 _SQUARES_FLOOR = 1e-200
 
 
-def _squared_nuclear_norm(d: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> float:
-    """||M||_*^2 of M = diag(sqrt(eta1)) d diag(sqrt(eta2)), real or complex
-    d, from the singular values of its leading k x k block alone.
+def _squared_nuclear_norm(m: np.ndarray) -> float:
+    """||M||_*^2 of the square matrix M, real or complex, from the singular
+    values of its leading k x k block alone.
 
     Dropping rows and columns changes the nuclear norm by at most the sum of
     their 2-norms (triangle inequality), and never raises it
@@ -282,26 +287,25 @@ def _squared_nuclear_norm(d: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> 
     tail[k] the sum over i >= k of ||M[i, :]|| + ||M[:, i]||, the block
     therefore lies within tail[k] below ||M||_*, and ||M||_* is at least the
     largest row norm. k is the smallest size whose tail is at most
-    _PRUNE_TOLERANCE times that row norm. The squared norms are two
-    matrix-vector products of (d * conj(d)).real, conj(d) being d at real d,
-    with the weights, so only the block is scaled. Where the last row's norm
-    alone exceeds _PRUNE_TOLERANCE, the bound whenever no row norm exceeds 1,
-    as for the oracle's factors, k is N at once; elsewhere that shortcut only
-    keeps more than needed. k is N also where the largest squared row norm
-    is below _SQUARES_FLOOR, or is not finite and every tail would pass.
+    _PRUNE_TOLERANCE times that row norm. The squared norms are the row and
+    column sums of (M * conj(M)).real, conj(M) being M at real M. Where the
+    last row's norm alone exceeds _PRUNE_TOLERANCE, the bound whenever no row
+    norm exceeds 1, as for the oracle's cross matrices, k is N at once;
+    elsewhere that shortcut only keeps more than needed. k is N also where
+    the largest squared row norm is below _SQUARES_FLOOR, or is not finite
+    and every tail would pass.
     """
-    k = len(eta1)
-    if k and eta1[-1] * ((d[-1] * d[-1].conj()).real @ eta2) <= _PRUNE_TOLERANCE**2:
-        squares = (d * d.conj()).real
-        rows = eta1 * (squares @ eta2)
+    k = len(m)
+    if k and (m[-1] * m[-1].conj()).real.sum() <= _PRUNE_TOLERANCE**2:
+        squares = (m * m.conj()).real
+        rows = squares.sum(axis=1)
         largest = rows.max()
         if _SQUARES_FLOOR <= largest < math.inf:
-            norms = np.sqrt(rows) + np.sqrt(eta2 * (eta1 @ squares))
+            norms = np.sqrt(rows) + np.sqrt(squares.sum(axis=0))
             tail = np.cumsum(norms[::-1])[::-1]
             # tail never rises with k, so the sizes it rules out are 1, ..., k - 1.
             k = 1 + int(np.count_nonzero(tail[1:] > _PRUNE_TOLERANCE * math.sqrt(largest)))
-    block = np.sqrt(eta1[:k, None]) * d[:k, :k] * np.sqrt(eta2[:k])
-    return float(np.sum(np.linalg.svd(block, compute_uv=False)) ** 2)
+    return float(np.sum(np.linalg.svd(m[:k, :k], compute_uv=False)) ** 2)
 
 
 def schmidt_purification(

@@ -49,9 +49,12 @@ class RouteResult:
     """One route's fidelity, with what is needed to judge it.
 
     ``beta_star`` is the optimal mode-2 displacement where a route finds one,
-    ``cutoff`` the oracle's truncation. The one range rule: a fidelity up to
-    _ROUND_OFF_MARGIN (3.6e-7) above 1 reads as 1, 0 raises ArithmeticError
-    as an underflow, and any other outside (0, 1] as an internal error.
+    ``cutoff`` the oracle's truncation. ``bures_distance`` is
+    closed_form.bures_distance of the fidelity unless the route gives one
+    without F's rounding, as the closed form does. The one range rule: a
+    fidelity up to _ROUND_OFF_MARGIN (3.6e-7) above 1 reads as 1, 0 raises
+    ArithmeticError as an underflow, and any other outside (0, 1] as an
+    internal error.
     """
 
     route: str
@@ -59,6 +62,7 @@ class RouteResult:
     beta_star: complex | None = None
     cutoff: int | None = None
     diagnostics: dict = field(default_factory=dict)
+    bures_distance: float | None = None
 
     def __post_init__(self) -> None:
         if 1.0 < self.fidelity <= 1.0 + _ROUND_OFF_MARGIN:
@@ -71,6 +75,9 @@ class RouteResult:
             raise ArithmeticError(
                 f"internal error: route {self.route} produced fidelity {self.fidelity!r}"
             )
+        if self.bures_distance is None:
+            distance = closed_form.bures_distance(self.fidelity)
+            object.__setattr__(self, "bures_distance", distance)
 
     def report(self) -> dict:
         """The result as ``tcsfid fidelity`` reports it, with the Bures distance
@@ -78,7 +85,7 @@ class RouteResult:
         report = {
             "route": self.route,
             "fidelity": self.fidelity,
-            "bures_distance": closed_form.bures_distance(self.fidelity),
+            "bures_distance": self.bures_distance,
         }
         if self.beta_star is not None:
             report["beta_star"] = format_complex(self.beta_star)
@@ -94,7 +101,10 @@ def format_complex(z: complex) -> str:
 
 
 def _closed_form(state1, state2, cutoff) -> RouteResult:
-    return RouteResult("closed_form", closed_form.tcs_fidelity(state1, state2).value)
+    return RouteResult(
+        "closed_form", closed_form.tcs_fidelity(state1, state2).value,
+        bures_distance=closed_form.tcs_bures_distance(state1, state2),
+    )
 
 
 def _oracle(state1, state2, cutoff) -> RouteResult:
@@ -213,9 +223,9 @@ def sweep(n1_values, n2_values, dalphas, alpha1, names, cutoff=DEFAULT_CUTOFF):
             raise results
         reference = results["closed_form"].fidelity
         for name in names:
-            value = results[name].fidelity
-            distance = closed_form.bures_distance(value)
-            fields = (*point, name, value, distance, abs(value - reference))
+            result = results[name]
+            fields = (*point, name, result.fidelity, result.bures_distance,
+                      abs(result.fidelity - reference))
             rows.append(dict(zip(SWEEP_COLUMNS, fields)))
     return rows
 

@@ -82,8 +82,11 @@ def _validate_complex(value: complex, name: str) -> complex:
 
 
 def _squared_modulus(z: complex, name: str) -> float:
-    """|z|^2, or an OverflowError that names z when it is out of range,
-    including a z that is already infinite."""
+    """|z|^2, a ValueError that names z when either part is NaN, or an
+    OverflowError when it is out of range, including a z that is already
+    infinite."""
+    if cmath.isnan(z):
+        raise ValueError(f"{name} must not be NaN, got {z!r}")
     try:
         square = abs(z) ** 2
     except OverflowError:

@@ -13,6 +13,7 @@ from tcsfidelity.closed_form import (
     FidelityValue,
     bures_distance,
     optimal_beta,
+    tcs_bures_distance,
     tcs_fidelity,
     thermal_fidelity,
 )
@@ -277,6 +278,45 @@ def test_bures_distance_meets_the_mpmath_reference_near_one(fidelity):
         reference = mpmath.sqrt(2 * (1 - mpmath.sqrt(mpmath.mpf(fidelity))))
         error = abs(bures_distance(fidelity) - reference) / reference
     assert error <= sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("nbar", [0.5, 1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("step", [2.0**-26, 2.0**-40])
+def test_closed_form_distance_meets_the_bures_metric(nbar, step):
+    # d_B^2 / step^2 -> 1/(4n(n+1)) along n and 1/(2n+1) along alpha
+    # (Twamley, J. Phys. A 29, 3723, 1996). The steps are exact in binary,
+    # so the deviation is the step's own O(step) term and round-off. From a
+    # rounded F the distance read 0 at every step here but n + 2**-26 at
+    # n <= 1: F rounds to 1.
+    alpha = 0.3 - 0.2j
+    eps = sys.float_info.epsilon
+    along_n = tcs_bures_distance(make_state(nbar, alpha), make_state(nbar + step, alpha))
+    ratio = along_n**2 / step**2 * (4 * nbar * (nbar + 1))
+    assert abs(ratio - 1) <= 2 * step / nbar + 8 * eps
+    along_alpha = tcs_bures_distance(make_state(nbar, alpha), make_state(nbar, alpha + step))
+    ratio = along_alpha**2 / step**2 * (2 * nbar + 1)
+    assert abs(ratio - 1) <= step + 8 * eps
+
+
+@pytest.mark.parametrize("n1, relative, dalpha", [
+    case for case in product([0.0, 1e-3, 1.0, 10.0, 1e4, 7e7], [0.0, 1e-12, 1e-6, 1.0],
+                             [0.0, 1e-9, 1e-4, 1.0])
+    if case[1:] != (0.0, 0.0)
+])
+def test_closed_form_distance_meets_the_mpmath_reference(n1, relative, dalpha):
+    # Near F = 1 the distance of a rounded F was off by up to 3e4 relative on
+    # this grid; the gap form leaves only its own round-off.
+    n2 = n1 * (1 + relative) if n1 else relative
+    state1 = make_state(n1, 0.5 + 0.25j)
+    state2 = make_state(n2, 0.5 + 0.25j + dalpha * (0.6 + 0.8j))
+    with mpmath.workdps(50):
+        m1, m2 = mpmath.mpf(n1), mpmath.mpf(n2)
+        c = m1 + m2 + 1
+        shift = mpmath.mpf(abs(state2.displacement - state1.displacement)) ** 2
+        root = (mpmath.sqrt((m1 + 1) * (m2 + 1)) + mpmath.sqrt(m1 * m2)) / c
+        reference = mpmath.sqrt(2 * (1 - root * mpmath.exp(-shift / (2 * c))))
+        error = abs(tcs_bures_distance(state1, state2) - reference) / reference
+    assert error <= 2 * sys.float_info.epsilon
 
 
 def test_bures_distance_monotone_in_fidelity():

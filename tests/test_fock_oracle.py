@@ -245,6 +245,13 @@ def test_thermal_spectrum_refuses_a_negative_occupancy():
         thermal_spectrum(-1.0, 3)
 
 
+@pytest.mark.parametrize("nbar", [math.nan, math.inf])
+def test_thermal_spectrum_refuses_a_non_finite_occupancy(nbar):
+    # Unchecked, nan gave nan weights and inf gave [0, nan, nan].
+    with pytest.raises(ValueError, match=f"^nbar must be finite, got {nbar}$"):
+        thermal_spectrum(nbar, 3)
+
+
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------
@@ -696,10 +703,14 @@ def test_oracle_frame_matches_uhlmann_of_the_undisplaced_pair():
     assert abs(displaced_thermal_fidelity(state1, state2, 60) - direct) <= 1e-15
 
 
-def full_squared_nuclear_norm(d, eta1, eta2):
-    """||sqrt(eta1) d sqrt(eta2)||_*^2 from one SVD of the whole matrix."""
-    cross = np.sqrt(eta1)[:, None] * d * np.sqrt(eta2)
-    return float(np.sum(np.linalg.svd(cross, compute_uv=False)) ** 2)
+def full_squared_nuclear_norm(m):
+    """||M||_*^2 from one SVD of the whole matrix."""
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)) ** 2)
+
+
+def weighted(d, eta1, eta2):
+    """diag(sqrt(eta1)) d diag(sqrt(eta2)), the cross matrix of the oracle route."""
+    return np.sqrt(eta1)[:, None] * d * np.sqrt(eta2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -725,8 +736,9 @@ def test_pruned_nuclear_norm_meets_the_full_svd(n, s1, s2, band, scale, seed):
     real *= scale * band ** np.abs(index[:, None] - index)
     eta1, eta2 = s1**index, s2**index
     for d in (real, real * np.exp(2j * np.pi * rng.random((n, n)))):
-        full = full_squared_nuclear_norm(d, eta1, eta2)
-        pruned = fock_oracle._squared_nuclear_norm(d, eta1, eta2)
+        m = weighted(d, eta1, eta2)
+        full = full_squared_nuclear_norm(m)
+        pruned = fock_oracle._squared_nuclear_norm(m)
         assert abs(pruned - full) <= 8 * np.finfo(float).eps * full
 
 
@@ -734,17 +746,16 @@ def test_pruning_keeps_the_rows_whose_squares_underflow():
     # The last entry carries 1e-14 of the nuclear norm, but its square,
     # 1e-328, underflows to 0: counted as zero, it would be pruned, and the
     # value would come out 2e-14 too small.
-    d, ones = np.diag([1e-150, 0.0, 1e-164]), np.ones(3)
-    pruned = fock_oracle._squared_nuclear_norm(d, ones, ones)
-    assert pruned == full_squared_nuclear_norm(d, ones, ones)
+    m = np.diag([1e-150, 0.0, 1e-164])
+    assert fock_oracle._squared_nuclear_norm(m) == full_squared_nuclear_norm(m)
     # The squares of the middle rows overflow to inf, so every tail compares
     # below the tolerance: pruned to its first row, the value would come out
     # a finite 1e-6 in place of the overflowed inf.
-    d, ones = np.diag([1e-3, 1e200, 1e200, 1e-30]), np.ones(4)
+    m = np.diag([1e-3, 1e200, 1e200, 1e-30])
     with np.errstate(over="ignore"):
-        pruned = fock_oracle._squared_nuclear_norm(d, ones, ones)
-        assert pruned == full_squared_nuclear_norm(d, ones, ones) == math.inf
-        assert uhlmann_fidelity(d.astype(complex), np.eye(4)) == math.inf
+        pruned = fock_oracle._squared_nuclear_norm(m)
+        assert pruned == full_squared_nuclear_norm(m) == math.inf
+        assert uhlmann_fidelity(m.astype(complex), np.eye(4)) == math.inf
 
 
 @pytest.mark.parametrize("n1, n2, dalpha, size", [
@@ -771,11 +782,34 @@ def test_oracle_takes_the_svd_of_the_leading_block(monkeypatch, n1, n2, dalpha, 
     general = uhlmann_fidelity(factor1, factor2)
     assert shapes == [(size, size)] * 2
     d = displacement_matrix(abs(dalpha), 80).real
-    full = full_squared_nuclear_norm(d, thermal_spectrum(n1, 80), thermal_spectrum(n2, 80))
+    full = full_squared_nuclear_norm(weighted(d, thermal_spectrum(n1, 80), thermal_spectrum(n2, 80)))
     assert abs(value - full) <= 8 * np.finfo(float).eps * full
-    ones = np.ones(80)
-    full = full_squared_nuclear_norm(factor2.conj().T @ factor1, ones, ones)
+    full = full_squared_nuclear_norm(factor2.conj().T @ factor1)
     assert abs(general - full) <= 8 * np.finfo(float).eps * full
+
+
+def test_each_oracle_entry_point_passes_the_kernel_one_cross_matrix(monkeypatch):
+    # The route's cross matrix is sqrt(eta1) D(|dalpha|) sqrt(eta2), real; the
+    # general API's is factor2^dag factor1, complex at complex alpha.
+    calls = []
+    kernel = fock_oracle._squared_nuclear_norm
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(fock_oracle, "_squared_nuclear_norm", recording)
+    state1, state2 = make_state(1.0, 0.3 - 0.2j), make_state(0.5, 1.3 + 0.8j)
+    displaced_thermal_fidelity(state1, state2, 40)
+    factor1, factor2 = displaced_thermal_matrix(state1, 40), displaced_thermal_matrix(state2, 40)
+    uhlmann_fidelity(factor1, factor2)
+    eta1, eta2 = thermal_spectrum(1.0, 40), thermal_spectrum(0.5, 40)
+    expected = [weighted(displacement_matrix(abs(1 + 1j), 40), eta1, eta2),
+                factor2.conj().T @ factor1]
+    assert len(calls) == len(expected)
+    for (args, kwargs), cross in zip(calls, expected):
+        assert kwargs == {} and len(args) == 1
+        assert args[0].dtype == cross.dtype and args[0].tobytes() == cross.tobytes()
 
 
 def test_oracle_at_a_large_cutoff_meets_closed_form():

@@ -75,6 +75,25 @@ def test_compare_runs_the_named_routes_in_order():
     assert {name: result.fidelity for name, result in results.items()} == golden
 
 
+def test_reports_and_sweep_rows_read_the_distance_of_the_result():
+    # 2**-30 apart in alpha the fidelity rounds to 1: only the closed form's
+    # gap keeps the distance, 2**-30 / sqrt(3) at n = 1. The other routes
+    # report the distance of their fidelity.
+    thermal = ThermalParams(1.0)
+    state1 = DisplacedThermalState(thermal, 0.3)
+    state2 = DisplacedThermalState(thermal, 0.3 + 2.0**-30)
+    results = compare(state1, state2, routes.ROUTES, CUTOFF)
+    rows = routes.sweep([1.0], [1.0], [2.0**-30], 0.3, list(routes.ROUTES), CUTOFF)
+    for row, (name, result) in zip(rows, results.items()):
+        assert result.report()["bures_distance"] == row["bures_distance"]
+        if name == "closed_form":
+            expected = closed_form.tcs_bures_distance(state1, state2)
+            assert expected == pytest.approx(2.0**-30 / math.sqrt(3), rel=1e-8)
+        else:
+            expected = closed_form.bures_distance(result.fidelity)
+        assert result.bures_distance == expected, name
+
+
 def test_compare_runs_a_repeated_name_once(monkeypatch):
     calls = []
     tcs_fidelity = closed_form.tcs_fidelity
@@ -165,7 +184,7 @@ def state_triples(draw):
 def test_every_route_obeys_the_triangle_inequality(triple):
     def distances(state1, state2):
         results = compare(state1, state2, routes.ROUTES, 80)
-        return {name: closed_form.bures_distance(r.fidelity) for name, r in results.items()}
+        return {name: r.bures_distance for name, r in results.items()}
 
     a, b, c = triple
     ab, bc, ac = distances(a, b), distances(b, c), distances(a, c)

@@ -290,6 +290,16 @@ def test_cf_overflow_names_the_argument():
         purification_cf(spec, huge, 0j)
     with pytest.raises(OverflowError, match=r"^\|lambda2\|\^2 overflows for lambda2=1e\+200j$"):
         purification_cf(spec, 0j, 1e200j)
+    with pytest.raises(OverflowError, match=r"^\|lambda1\|\^2 overflows for lambda1=\(inf\+0j\)$"):
+        purification_cf(spec, complex(math.inf, 0.0), 0j)
+
+
+def test_cf_refuses_a_nan_argument():
+    spec = make_spec(0.5, 0j, 0j)
+    with pytest.raises(ValueError, match=r"^lambda1 must not be NaN, got \(nan\+0j\)$"):
+        purification_cf(spec, complex("nan"), 0)
+    with pytest.raises(ValueError, match=r"^lambda2 must not be NaN, got nanj$"):
+        purification_cf(spec, 0j, complex(0.0, math.nan))
 
 
 def test_purification_cf_marginals_ignore_other_mode():
